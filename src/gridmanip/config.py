@@ -147,7 +147,8 @@ def _primitives(raw):
 
 
 def build_run_config(values: dict) -> RunConfig:
-    """Materialize the typed RunConfig from string values."""
+    """Materialize the typed RunConfig from string values and validate it,
+    so a bad config fails before any work starts."""
     t, r, p, n, rp, run = (values["task"], values["reward"], values["policy"],
                            values["network"], values["replay"], values["run"])
     try:
@@ -196,7 +197,7 @@ def build_run_config(values: dict) -> RunConfig:
         raise ConfigError(f"reward.kind={r['kind']!r} must be tpg or baseline")
     if p["kind"] not in ("lae", "decay"):
         raise ConfigError(f"policy.kind={p['kind']!r} must be lae or decay")
-    return RunConfig(
+    cfg = RunConfig(
         task=task,
         reward=reward,
         exploration=exploration,
@@ -218,3 +219,8 @@ def build_run_config(values: dict) -> RunConfig:
                                   run["checkpoint_every"], int),
         window=_convert("run", "window", run["window"], int),
     )
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg

@@ -70,6 +70,15 @@ class RunConfig:
             raise ValueError(f"exploration_kind must be one of {EXPLORATION_KINDS}")
         if self.batch_size < 1 or self.train_steps < 0 or self.eval_runs < 1:
             raise ValueError("batch_size/train_steps/eval_runs out of range")
+        if self.replay_capacity < self.batch_size:
+            raise ValueError(
+                f"replay.capacity={self.replay_capacity} is below "
+                f"network.batch_size={self.batch_size}; no batch could be drawn")
+        if not self.rank_exponent >= 0:
+            raise ValueError(f"replay.rank_exponent={self.rank_exponent} "
+                             "must be >= 0")
+        if self.window < 1:
+            raise ValueError(f"run.window={self.window} must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,19 @@ Items are sampled without replacement with probability proportional to
 (1/rank)^omega, ranks ordered by descending priority (ties broken by insert
 order). The newest transition stays pending, and unsampleable, until the
 following step's reward arrives to complete its bootstrap target.
+
+The buffer owns every priority: they live in one preallocated float64 array
+kept in insertion order beside the list of transitions, and a transition
+only reads its own back. Eviction is oldest-first, so held insert indices
+are contiguous and a transition's slot is its insert index minus the
+oldest one's. Per call, with N items held and k drawn: ``sampleable_count``
+and ``finalize_pending`` are O(1); ``push`` is one array max plus, once
+full, one array shift; ``update_priorities`` is O(k); ``sample`` and
+``probabilities`` are one stable argsort of the priorities plus, for
+``sample``, k cumulative sums. None of them walks the transitions in Python.
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,20 +40,41 @@ class Transition:
     r_t: float
     reward_map: object
     r_next: float | None = None     # pending until the next step finalizes it
-    priority: float = 1.0
     insert_index: int = -1
+    # Weak, so a dropped buffer and its transitions are freed by reference
+    # counting rather than waiting for the cycle collector.
+    _owner: "weakref.ref[ReplayBuffer] | None" = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def pending(self):
         return self.r_next is None
 
+    @property
+    def priority(self):
+        """Read-only view of the priority the holding buffer assigns; None
+        before the transition is pushed and after it is evicted."""
+        owner = self._owner() if self._owner is not None else None
+        return None if owner is None else owner._priority_of(self.insert_index)
 
-@dataclass
+
 class ReplayBuffer:
-    capacity: int = 2000
-    rank_exponent: float = 0.7
-    _items: list = field(default_factory=list)
-    _next_index: int = 0
+    """Rank-prioritized replay of at most ``capacity`` transitions.
+
+    ``rank_exponent`` is fixed at construction: the rank law is tabulated
+    once for every rank up to ``capacity``.
+    """
+
+    def __init__(self, capacity: int = 2000, rank_exponent: float = 0.7):
+        if capacity < 1:
+            raise ValueError(f"replay capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.rank_exponent = rank_exponent
+        self._items = []                          # oldest first
+        self._priorities = np.empty(capacity)     # [i] belongs to _items[i]
+        self._rank_law = (1.0 / np.arange(1, capacity + 1)) ** rank_exponent
+        self._next_index = 0
+        self._weak_self = weakref.ref(self)
 
     def __len__(self):
         return len(self._items)
@@ -54,19 +86,39 @@ class ReplayBuffer:
     def pending_item(self):
         return self._items[-1] if self.has_pending else None
 
+    def _sampleable(self):
+        # Only the newest item can be pending. Internal callers use this,
+        # not sampleable_count, so that per-method call counts and timings
+        # of the public API reflect the caller's calls alone.
+        return len(self._items) - self.has_pending
+
     def sampleable_count(self):
-        return sum(not t.pending for t in self._items)
+        return self._sampleable()
+
+    def _slot(self, insert_index):
+        """Array slot of a held insert index, or None once evicted."""
+        slot = insert_index - (self._next_index - len(self._items))
+        return slot if 0 <= slot < len(self._items) else None
+
+    def _priority_of(self, insert_index):
+        slot = self._slot(insert_index)
+        return None if slot is None else float(self._priorities[slot])
 
     def push(self, transition: Transition):
         """Store with priority equal to the current maximum (1.0 if empty)."""
         if self.has_pending:
             raise ReplayError("previous transition still pending; finalize first")
-        transition.priority = max((t.priority for t in self._items), default=1.0)
+        n = len(self._items)
+        priority = self._priorities[:n].max() if n else 1.0
+        if n == self.capacity:
+            self._items.pop(0)
+            self._priorities[:-1] = self._priorities[1:]
+            n -= 1
         transition.insert_index = self._next_index
+        transition._owner = self._weak_self
         self._next_index += 1
         self._items.append(transition)
-        if len(self._items) > self.capacity:
-            self._items.pop(0)
+        self._priorities[n] = priority
 
     def finalize_pending(self, r_next: float):
         """Attach the follow-up reward to the most recent transition."""
@@ -74,52 +126,49 @@ class ReplayBuffer:
             raise ReplayError("no pending transition to finalize")
         self._items[-1].r_next = float(r_next)
 
-    def _rank_weights(self, items):
-        """(1/rank)^omega per item, ranks by descending priority then insert
-        order."""
-        priorities = np.array([t.priority for t in items])
-        inserted = np.array([t.insert_index for t in items])
-        order = np.lexsort((inserted, -priorities))
-        weights = np.empty(len(items))
-        weights[order] = (1.0 / np.arange(1, len(items) + 1)) ** self.rank_exponent
+    def _rank_weights(self, n):
+        """(1/rank)^omega for the n oldest items, ranks by descending priority
+        then insert order (a stable sort of the insertion-ordered array)."""
+        order = np.argsort(-self._priorities[:n], kind="stable")
+        weights = np.empty(n)
+        weights[order] = self._rank_law[:n]
         return weights
 
-    def probabilities(self, items=None):
-        """Normalized single-draw distribution over sampleable items."""
-        items = items if items is not None else [t for t in self._items
-                                                 if not t.pending]
-        weights = self._rank_weights(items)
+    def probabilities(self):
+        """Normalized single-draw distribution over sampleable items, in
+        insertion order."""
+        weights = self._rank_weights(self._sampleable())
         return weights / weights.sum()
 
     def sample(self, k: int, rng: np.random.Generator):
         """Draw k distinct finalized transitions (sequential renormalized
         draws from the rank law); returns (items, ids)."""
-        pool = [t for t in self._items if not t.pending]
-        if len(pool) < k:
-            raise UnderfullError(f"need {k} sampleable transitions, have {len(pool)}")
-        weights = self._rank_weights(pool)
+        n = self._sampleable()
+        if n < k:
+            raise UnderfullError(f"need {k} sampleable transitions, have {n}")
+        weights = self._rank_weights(n)
         chosen = []
         for _ in range(k):
             cdf = np.cumsum(weights)
             pos = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-            pos = min(pos, len(pool) - 1)
+            pos = min(pos, n - 1)
             weights[pos] = 0.0
-            chosen.append(pool[pos])
+            chosen.append(self._items[pos])
         return chosen, [t.insert_index for t in chosen]
 
     def update_priorities(self, ids, losses):
         """priority <- |loss| + floor; ids evicted in the meantime are skipped."""
-        by_id = {t.insert_index: t for t in self._items}
         for insert_index, loss in zip(ids, losses):
-            item = by_id.get(insert_index)
-            if item is not None:
-                item.priority = abs(float(loss)) + PRIORITY_FLOOR
+            slot = self._slot(insert_index)
+            if slot is not None:
+                self._priorities[slot] = abs(float(loss)) + PRIORITY_FLOOR
 
     def dump_records(self):
         """Plain-dict view of the buffer for post-hoc inspection."""
+        priorities = self._priorities[:len(self._items)].tolist()
         return [{"insert_index": t.insert_index, "r_t": t.r_t,
-                 "r_next": t.r_next, "priority": t.priority,
+                 "r_next": t.r_next, "priority": priority,
                  "primitive": t.action.primitive.value,
                  "x": t.action.x, "y": t.action.y,
                  "theta_index": t.action.theta_index}
-                for t in self._items]
+                for t, priority in zip(self._items, priorities)]

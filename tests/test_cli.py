@@ -168,6 +168,21 @@ class TestTrainCommand:
         assert code == 1
         assert "task.zorp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, named", [
+        ("replay.capacity=4", "replay.capacity"),
+        ("replay.capacity=0", "replay.capacity"),
+        ("replay.rank_exponent=-0.5", "replay.rank_exponent"),
+        ("run.window=0", "run.window"),
+    ])
+    def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
+                                                 capsys, override, named):
+        out = tmp_path / "x"
+        code = main(["train", "--config", str(tiny_cfg), "--out", str(out),
+                     "--set", override])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (out / "run.log").exists()
+
 
 class TestEvalCommand:
     def test_eval_zero_initialized_checkpoint_smoke(self, clutter_cfg, tmp_path):

@@ -133,6 +133,18 @@ class TestTrain:
         with pytest.raises(NoValidActionError):
             train(small_config(task=task, train_steps=5))
 
+    @pytest.mark.parametrize("bad", [
+        dict(replay_capacity=4),
+        dict(replay_capacity=0),
+        dict(rank_exponent=-0.7),
+        dict(window=0),
+    ])
+    def test_out_of_range_run_config_rejected(self, bad):
+        with pytest.raises(ValueError):
+            small_config(**bad).validate()
+        with pytest.raises(ValueError):
+            train(small_config(**bad))
+
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
             train(small_config(reward_kind="bogus"))

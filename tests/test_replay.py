@@ -1,5 +1,10 @@
+import gc
+import weakref
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmanip.gridsim import Action, Primitive
 from gridmanip.replay import (PRIORITY_FLOOR, ReplayBuffer, ReplayError,
@@ -15,9 +20,8 @@ def make_transition(r_t=0.5, r_next=0.0):
 def filled_buffer(priorities, omega=1.0, capacity=100):
     buf = ReplayBuffer(capacity=capacity, rank_exponent=omega)
     for p in priorities:
-        t = make_transition()
-        buf.push(t)
-        t.priority = p
+        buf.push(make_transition())
+        buf._priorities[len(buf) - 1] = p
     return buf
 
 
@@ -42,6 +46,25 @@ class TestPushFinalize:
             buf.push(t)
         assert len(buf) == 3
         assert items[0].insert_index not in [t.insert_index for t in buf._items]
+
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            ReplayBuffer(capacity=0)
+
+    def test_dropped_buffer_freed_by_refcount(self):
+        # Transitions link back to their buffer; the link must not form a
+        # cycle, or every finished run's buffer waits for the collector.
+        buf = ReplayBuffer(capacity=2)
+        kept = make_transition()
+        buf.push(kept)
+        ref = weakref.ref(buf)
+        gc.disable()
+        try:
+            del buf
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert kept.priority is None
 
     def test_push_with_pending_rejected(self):
         buf = ReplayBuffer()
@@ -180,7 +203,7 @@ class TestInterleaving:
                 items, ids = buf.sample(3, rng)
                 buf.update_priorities(ids, rng.random(3).tolist())
             assert len(buf) <= 16
-            weights = buf._rank_weights(buf._items)
+            weights = buf._rank_weights(len(buf))
             order = np.argsort(-weights)
             # weights are a permutation of the rank law values
             expect = sorted(((1.0 / r) ** 0.7 for r in range(1, len(buf) + 1)),
@@ -193,3 +216,184 @@ class TestInterleaving:
         assert len(records) == 2
         assert {"insert_index", "r_t", "r_next", "priority",
                 "primitive", "x", "y", "theta_index"} <= records[0].keys()
+
+
+# Reference: the list-based buffer that kept each priority on its Transition
+# and rescanned the list on every call. The array-backed buffer must match
+# it byte for byte: same draws from the same Generator, same probabilities,
+# same records.
+
+@dataclass
+class ListTransition:
+    observation: object
+    prev_action_context: object
+    action: object
+    r_t: float
+    reward_map: object
+    r_next: float | None = None
+    priority: float = 1.0
+    insert_index: int = -1
+
+    @property
+    def pending(self):
+        return self.r_next is None
+
+
+@dataclass
+class ListReplayBuffer:
+    capacity: int = 2000
+    rank_exponent: float = 0.7
+    _items: list = field(default_factory=list)
+    _next_index: int = 0
+
+    def __len__(self):
+        return len(self._items)
+
+    @property
+    def has_pending(self):
+        return bool(self._items) and self._items[-1].pending
+
+    def sampleable_count(self):
+        return sum(not t.pending for t in self._items)
+
+    def push(self, transition):
+        if self.has_pending:
+            raise ReplayError("previous transition still pending; finalize first")
+        transition.priority = max((t.priority for t in self._items), default=1.0)
+        transition.insert_index = self._next_index
+        self._next_index += 1
+        self._items.append(transition)
+        if len(self._items) > self.capacity:
+            self._items.pop(0)
+
+    def finalize_pending(self, r_next):
+        if not self.has_pending:
+            raise ReplayError("no pending transition to finalize")
+        self._items[-1].r_next = float(r_next)
+
+    def _rank_weights(self, items):
+        priorities = np.array([t.priority for t in items])
+        inserted = np.array([t.insert_index for t in items])
+        order = np.lexsort((inserted, -priorities))
+        weights = np.empty(len(items))
+        weights[order] = (1.0 / np.arange(1, len(items) + 1)) ** self.rank_exponent
+        return weights
+
+    def probabilities(self):
+        items = [t for t in self._items if not t.pending]
+        weights = self._rank_weights(items)
+        return weights / weights.sum()
+
+    def sample(self, k, rng):
+        pool = [t for t in self._items if not t.pending]
+        if len(pool) < k:
+            raise UnderfullError(f"need {k} sampleable transitions, have {len(pool)}")
+        weights = self._rank_weights(pool)
+        chosen = []
+        for _ in range(k):
+            cdf = np.cumsum(weights)
+            pos = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+            pos = min(pos, len(pool) - 1)
+            weights[pos] = 0.0
+            chosen.append(pool[pos])
+        return chosen, [t.insert_index for t in chosen]
+
+    def update_priorities(self, ids, losses):
+        by_id = {t.insert_index: t for t in self._items}
+        for insert_index, loss in zip(ids, losses):
+            item = by_id.get(insert_index)
+            if item is not None:
+                item.priority = abs(float(loss)) + PRIORITY_FLOOR
+
+    def dump_records(self):
+        return [{"insert_index": t.insert_index, "r_t": t.r_t,
+                 "r_next": t.r_next, "priority": t.priority,
+                 "primitive": t.action.primitive.value,
+                 "x": t.action.x, "y": t.action.y,
+                 "theta_index": t.action.theta_index}
+                for t in self._items]
+
+
+# Few distinct losses, so updates tie often; stale ids reach below the
+# oldest held index and past the newest.
+_losses = st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, 1e-7]) |
+                   st.floats(-4.0, 4.0, allow_nan=False), min_size=1,
+                   max_size=4)
+_ops = st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 3), st.integers(1, 12),
+              st.none() | st.sampled_from([0.0, 0.5])),
+    st.tuples(st.just("finalize"), st.sampled_from([0.0, 0.25, 1.0])),
+    st.tuples(st.just("sample"), st.integers(1, 4)),
+    st.tuples(st.just("update"), st.booleans(), _losses,
+              st.lists(st.integers(-3, 40), max_size=3)),
+)
+
+
+def _both_raise(exc, call_ref, call_new):
+    with pytest.raises(exc):
+        call_ref()
+    with pytest.raises(exc):
+        call_new()
+
+
+class TestListOracleEquivalence:
+    @settings(max_examples=150, deadline=None)
+    # Small capacities evict constantly; past 16 items numpy's default sort
+    # stops being an insertion sort, so only a stable sort keeps tie order.
+    @given(capacity=st.integers(1, 6) | st.integers(17, 40),
+           omega=st.sampled_from([0.0, 0.7, 1.0]),
+           seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(_ops, min_size=1, max_size=120))
+    def test_churn_matches_list_buffer(self, capacity, omega, seed, ops):
+        ref = ListReplayBuffer(capacity=capacity, rank_exponent=omega)
+        new = ReplayBuffer(capacity=capacity, rank_exponent=omega)
+        rng_ref = np.random.default_rng(seed)
+        rng_new = np.random.default_rng(seed)
+        last_ids = []
+        for op in ops:
+            if op[0] == "push":
+                # `repeat` finalized transitions, the last one maybe pending
+                _, x, repeat, r_last = op
+                for i in range(repeat):
+                    args = dict(observation=None, prev_action_context=None,
+                                action=Action(Primitive.PICK, x, i, 0, 0.0),
+                                r_t=float(x), reward_map=None,
+                                r_next=r_last if i == repeat - 1 else 0.0)
+                    if ref.has_pending:
+                        _both_raise(ReplayError,
+                                    lambda: ref.push(ListTransition(**args)),
+                                    lambda: new.push(Transition(**args)))
+                        break
+                    ref.push(ListTransition(**args))
+                    new.push(Transition(**args))
+            elif op[0] == "finalize":
+                if ref.has_pending:
+                    ref.finalize_pending(op[1])
+                    new.finalize_pending(op[1])
+                else:
+                    _both_raise(ReplayError, lambda: ref.finalize_pending(op[1]),
+                                lambda: new.finalize_pending(op[1]))
+            elif op[0] == "sample":
+                k = op[1]
+                if ref.sampleable_count() < k:
+                    _both_raise(UnderfullError, lambda: ref.sample(k, rng_ref),
+                                lambda: new.sample(k, rng_new))
+                else:
+                    _, last_ids = ref.sample(k, rng_ref)
+                    items, ids = new.sample(k, rng_new)
+                    assert ids == last_ids
+                    assert [t.insert_index for t in items] == ids
+            else:
+                _, use_last, losses, stale = op
+                ids = (last_ids if use_last else []) + stale
+                losses = (losses * len(ids))[:len(ids)]
+                ref.update_priorities(ids, losses)
+                new.update_priorities(ids, losses)
+            assert len(new) == len(ref)
+            assert new.has_pending == ref.has_pending
+            assert new.sampleable_count() == ref.sampleable_count()
+            assert new.probabilities().tobytes() == ref.probabilities().tobytes()
+            assert new.dump_records() == ref.dump_records()
+            assert [t.priority for t in new._items] == \
+                [t.priority for t in ref._items]
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
