@@ -47,7 +47,7 @@ def _record_line(record, run_index=None):
     return " ".join(f"{key}={_fmt(value)}" for key, value in fields)
 
 
-def _write_train_outputs(out_dir, report, cfg_values):
+def _write_train_outputs(out_dir, report, cfg, text):
     with open(out_dir / "run.log", "w") as fh:
         for record in report.records:
             fh.write(_record_line(record) + "\n")
@@ -57,14 +57,9 @@ def _write_train_outputs(out_dir, report, cfg_values):
         for k, (s, e) in enumerate(zip(report.success_curve,
                                        report.efficiency_curve)):
             writer.writerow([k, _csv_float(s), _csv_float(e)])
-    text = config_mod.config_text(cfg_values)
     qfunc.save_checkpoint(out_dir / "checkpoint.bin", report.net,
-                          _grid_shape(cfg_values),
+                          (cfg.task.height, cfg.task.width),
                           cfg_hash=qfunc.config_hash(text))
-
-
-def _grid_shape(cfg_values):
-    return (int(cfg_values["task"]["height"]), int(cfg_values["task"]["width"]))
 
 
 def _csv_float(value):
@@ -103,19 +98,19 @@ def _load_effective_config(args):
     return values
 
 
-def _prepare_out(args, values):
-    out_dir = Path(args.out or "out")
+def _prepare_out(out, text):
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.echo", "w") as fh:
-        fh.write(config_mod.config_text(values))
+        fh.write(text)
     return out_dir
 
 
 def _cmd_train(args):
     values = _load_effective_config(args)
     cfg = config_mod.build_run_config(values)
-    out_dir = _prepare_out(args, values)
     text = config_mod.config_text(values)
+    out_dir = _prepare_out(args.out or "out", text)
 
     def checkpoint_cb(step, net):
         qfunc.save_checkpoint(out_dir / f"checkpoint_step{step:06d}.bin", net,
@@ -123,7 +118,7 @@ def _cmd_train(args):
                               cfg_hash=qfunc.config_hash(text))
 
     report = harness.train(cfg, checkpoint_cb=checkpoint_cb)
-    _write_train_outputs(out_dir, report, values)
+    _write_train_outputs(out_dir, report, cfg, text)
     if args.dump_replay:
         with open(out_dir / "replay_dump.jsonl", "w") as fh:
             for record in report.replay_buffer.dump_records():
@@ -145,7 +140,7 @@ def _cmd_eval(args):
         raise ConfigError(
             f"checkpoint grid {header['grid_height']}x{header['grid_width']} "
             f"does not match task {cfg.task.height}x{cfg.task.width}")
-    out_dir = _prepare_out(args, values)
+    out_dir = _prepare_out(args.out or "out", config_mod.config_text(values))
     metrics = harness.evaluate(net, cfg)
     _write_metrics(out_dir / "metrics.csv", metrics, cfg.eval_runs)
     _write_eval_log(out_dir / "run.log", metrics)
@@ -158,26 +153,25 @@ def _cmd_eval(args):
 def _cmd_ablate(args):
     values = _load_effective_config(args)
     cfg = config_mod.build_run_config(values)
-    out_dir = _prepare_out(args, values)
+    out_dir = _prepare_out(args.out or "out", config_mod.config_text(values))
     rows = []
-    for name, _, _ in harness.ABLATION_VARIANTS:
-        vcfg = harness.variant_config(cfg, name)
-        vdir = out_dir / name
-        vdir.mkdir(exist_ok=True)
-        report = harness.train(vcfg)
-        metrics = harness.evaluate(report.net, vcfg)
+
+    def write_variant(entry):
+        vcfg, metrics = entry.cfg, entry.metrics
         vvalues = {s: dict(k) for s, k in values.items()}
         vvalues["reward"]["kind"] = vcfg.reward_kind
         vvalues["policy"]["kind"] = vcfg.exploration_kind
-        with open(vdir / "config.echo", "w") as fh:
-            fh.write(config_mod.config_text(vvalues))
-        _write_train_outputs(vdir, report, vvalues)
+        text = config_mod.config_text(vvalues)
+        vdir = _prepare_out(out_dir / entry.name, text)
+        _write_train_outputs(vdir, entry.report, vcfg, text)
         _write_metrics(vdir / "metrics.csv", metrics, vcfg.eval_runs)
-        rows.append([name, repr(metrics.completion_rate),
+        rows.append([entry.name, repr(metrics.completion_rate),
                      _csv_float(metrics.pick_success),
                      _csv_float(metrics.action_efficiency)])
-        print(f"ablate[{name}]: completion={rows[-1][1]} "
+        print(f"ablate[{entry.name}]: completion={rows[-1][1]} "
               f"pick={rows[-1][2]} efficiency={rows[-1][3]}")
+
+    harness.run_ablation(cfg, write_variant)
     with open(out_dir / "ablation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "completion_rate", "pick_success",

@@ -60,8 +60,8 @@ class Action:
 class TaskConfig:
     kind: TaskKind
     n_blocks: int
-    width: int = 14
-    height: int = 14
+    width: int = 10
+    height: int = 10
     goal_stack_height: int = 0
     allowed_primitives: tuple = PRIMITIVE_ORDER
     max_steps: int = 0          # 0 -> 8 * n_blocks

@@ -65,9 +65,21 @@ class RunConfig:
         self.reward.validate()
         self.exploration.validate()
         if self.reward_kind not in REWARD_KINDS:
-            raise ValueError(f"reward_kind must be one of {REWARD_KINDS}")
+            raise ValueError(f"reward.kind={self.reward_kind!r} must be one of "
+                             f"{', '.join(REWARD_KINDS)}")
         if self.exploration_kind not in EXPLORATION_KINDS:
-            raise ValueError(f"exploration_kind must be one of {EXPLORATION_KINDS}")
+            raise ValueError(f"policy.kind={self.exploration_kind!r} must be one "
+                             f"of {', '.join(EXPLORATION_KINDS)}")
+        if self.task.rotations not in (1, 2) and \
+                self.task.width != self.task.height:
+            raise ValueError(
+                f"task.width={self.task.width} differs from task.height="
+                f"{self.task.height}, but task.rotations={self.task.rotations} "
+                "turns the grid by 90 degrees; use a square grid or 1 or 2 "
+                "rotations")
+        if self.hidden_channels < 1:
+            raise ValueError(f"network.hidden_channels={self.hidden_channels} "
+                             "must be >= 1")
         if self.batch_size < 1 or self.train_steps < 0 or self.eval_runs < 1:
             raise ValueError("batch_size/train_steps/eval_runs out of range")
         if self.replay_capacity < self.batch_size:
@@ -163,6 +175,18 @@ def _reward_for_step(cfg, action, success, progress, prev_progress, shape):
     return r_tp, rmap
 
 
+def _start_episode(task: TaskConfig, seed):
+    """Fresh world and observation, an empty previous-action context, and
+    the starting task progress."""
+    ws, obs = gridsim.reset(task, seed)
+    ctx = PrevActionContext.initial(task.height, task.width)
+    return ws, obs, ctx, gridsim.task_progress(ws)
+
+
+def _masks(ws, allowed):
+    return {p: valid_action_mask(ws, p) for p in allowed}
+
+
 def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
     """Run the training loop for cfg.train_steps actions.
 
@@ -180,13 +204,12 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
     allowed = cfg.task.allowed_primitives
 
     episode = 0
-    ws, obs = gridsim.reset(cfg.task, derive_seed(cfg.seed, _STREAM_EPISODE, episode))
-    ctx = PrevActionContext.initial(*shape)
-    prev_progress = gridsim.task_progress(ws)
+    ws, obs, ctx, prev_progress = _start_episode(
+        cfg.task, derive_seed(cfg.seed, _STREAM_EPISODE, episode))
     records, episodes = [], []
 
     for step_i in range(cfg.train_steps):
-        masks = {p: valid_action_mask(ws, p) for p in allowed}
+        masks = _masks(ws, allowed)
         if not any(m.any() for m in masks.values()):
             # Dead end (cannot occur in the stock tasks): drop the episode.
             if buffer.has_pending:
@@ -194,11 +217,9 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
             episodes.append(EpisodeSummary(step_i, ws.step_count,
                                            "no_valid_action", prev_progress))
             episode += 1
-            ws, obs = gridsim.reset(cfg.task,
-                                    derive_seed(cfg.seed, _STREAM_EPISODE, episode))
-            ctx = PrevActionContext.initial(*shape)
-            prev_progress = gridsim.task_progress(ws)
-            masks = {p: valid_action_mask(ws, p) for p in allowed}
+            ws, obs, ctx, prev_progress = _start_episode(
+                cfg.task, derive_seed(cfg.seed, _STREAM_EPISODE, episode))
+            masks = _masks(ws, allowed)
             if not any(m.any() for m in masks.values()):
                 raise NoValidActionError(
                     "task offers no valid action even after a fresh reset")
@@ -251,10 +272,8 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
                                            result.done_reason.value,
                                            result.progress))
             episode += 1
-            ws, obs = gridsim.reset(cfg.task,
-                                    derive_seed(cfg.seed, _STREAM_EPISODE, episode))
-            ctx = PrevActionContext.initial(*shape)
-            prev_progress = gridsim.task_progress(ws)
+            ws, obs, ctx, prev_progress = _start_episode(
+                cfg.task, derive_seed(cfg.seed, _STREAM_EPISODE, episode))
         else:
             obs = result.next_observation
             ctx = PrevActionContext.from_action(action, *shape)
@@ -297,13 +316,12 @@ def evaluate(net: QNetwork, cfg: RunConfig) -> Metrics:
     runs = []
     for run_i in range(cfg.eval_runs):
         seed = derive_seed(cfg.seed, _STREAM_EVAL, run_i)
-        ws, obs = gridsim.reset(cfg.task, seed)
-        ctx = PrevActionContext.initial(*shape)
+        ws, obs, ctx, _ = _start_episode(cfg.task, seed)
         picks_attempted = picks_succeeded = tallest_picks = 0
         reason = "no_valid_action"
         records = []
         while True:
-            masks = {p: valid_action_mask(ws, p) for p in allowed}
+            masks = _masks(ws, allowed)
             try:
                 action = greedy_action(forward_all(net, obs, ctx, allowed), masks)
             except NoValidActionError:
@@ -368,16 +386,24 @@ def variant_config(cfg: RunConfig, name: str) -> RunConfig:
 @dataclass
 class AblationEntry:
     name: str
+    cfg: RunConfig
     report: TrainReport
     metrics: Metrics
 
 
-def run_ablation(cfg: RunConfig) -> dict:
-    """Train and evaluate the reward/exploration ladder with shared seeds."""
+def run_ablation(cfg: RunConfig, variant_cb=None) -> dict:
+    """Train and evaluate the reward/exploration ladder with shared seeds.
+
+    ``variant_cb(entry)``, when given, is invoked as soon as each variant is
+    evaluated (the CLI uses it to write that variant's outputs).
+    """
     out = {}
     for name, _, _ in ABLATION_VARIANTS:
         vcfg = variant_config(cfg, name)
         report = train(vcfg)
         metrics = evaluate(report.net, vcfg)
-        out[name] = AblationEntry(name=name, report=report, metrics=metrics)
+        out[name] = AblationEntry(name=name, cfg=vcfg, report=report,
+                                  metrics=metrics)
+        if variant_cb:
+            variant_cb(out[name])
     return out

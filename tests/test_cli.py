@@ -1,10 +1,17 @@
+import configparser
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gridmanip import config as config_mod
 from gridmanip.cli import main
 from gridmanip.config import ConfigError
+from gridmanip.gridsim import Primitive, TaskConfig, TaskKind
+from gridmanip.harness import RunConfig
 from gridmanip.qfunc import QNetwork, save_checkpoint
+
+DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 
 
 TINY = """
@@ -60,6 +67,21 @@ class TestConfigModule:
         assert "[task]" in text and "[replay]" in text
         cfg = config_mod.build_run_config(values)
         cfg.validate()
+
+    def test_default_ini_matches_table(self):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(DEFAULT_INI)
+        shipped = {s: list(parser.items(s)) for s in parser.sections()}
+        table = {s: list(keys.items())
+                 for s, keys in config_mod.DEFAULTS.items()}
+        assert list(shipped) == list(table)
+        assert shipped == table
+
+    def test_dataclass_defaults_match_table(self):
+        cfg = config_mod.build_run_config(config_mod.default_config())
+        assert cfg == RunConfig(task=TaskConfig(
+            kind=TaskKind.BLOCK_STACKING, n_blocks=5, goal_stack_height=2,
+            allowed_primitives=(Primitive.PICK, Primitive.PLACE)))
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -173,6 +195,10 @@ class TestTrainCommand:
         ("replay.capacity=0", "replay.capacity"),
         ("replay.rank_exponent=-0.5", "replay.rank_exponent"),
         ("run.window=0", "run.window"),
+        ("network.hidden_channels=0", "network.hidden_channels"),
+        ("task.width=8", "task.width"),
+        ("reward.kind=nope", "reward.kind"),
+        ("policy.kind=nope", "policy.kind"),
     ])
     def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                  capsys, override, named):

@@ -138,6 +138,11 @@ class TestTrain:
         dict(replay_capacity=0),
         dict(rank_exponent=-0.7),
         dict(window=0),
+        dict(hidden_channels=0),
+        dict(task=TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=4,
+                             goal_stack_height=2, width=8, height=7)),
+        dict(reward_kind="nope"),
+        dict(exploration_kind="nope"),
     ])
     def test_out_of_range_run_config_rejected(self, bad):
         with pytest.raises(ValueError):
