@@ -1,0 +1,124 @@
+"""Byte-identity fingerprint of the shipped runs.
+
+    python3 scripts/fingerprint.py                 # print one sha256 per file
+    python3 scripts/fingerprint.py --record        # store them as the reference
+    python3 scripts/fingerprint.py --against       # diff against the reference
+
+Runs, in a temporary directory and from the ``src/`` of this checkout:
+``gridmanip train --dump-replay`` on ``configs/default.ini``, ``gridmanip
+eval`` on the checkpoint it wrote, and ``gridmanip ablate`` with
+``run.train_steps=60 run.eval_runs=3``. It then prints the sha256 of every
+output file. BLAS is pinned to one thread.
+
+The reference (``scripts/fingerprint_ref.json``) is keyed by the numpy
+version, the BLAS name and version and the machine type, because GEMM bits
+can differ between BLAS builds. ``--against`` exits 1 when any file differs,
+is missing or is new; on an environment without a reference it prints
+"no reference" and exits 0.
+"""
+
+import os
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Before numpy is first imported, so BLAS starts with one thread.
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = Path(__file__).resolve().parent / "fingerprint_ref.json"
+sys.path.insert(0, str(ROOT / "src"))
+
+
+def environment_key():
+    import numpy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {numpy.__version__} | {blas.get('name')} "
+            f"{blas.get('version')} | {platform.machine()}")
+
+
+def run_all(work: Path):
+    from gridmanip.cli import main
+    config = str(ROOT / "configs" / "default.ini")
+    commands = [
+        ["train", "--config", config, "--out", str(work / "train"),
+         "--dump-replay"],
+        ["eval", "--config", config, "--out", str(work / "eval"),
+         "--checkpoint", str(work / "train" / "checkpoint.bin")],
+        ["ablate", "--config", config, "--out", str(work / "ablate"),
+         "--set", "run.train_steps=60", "--set", "run.eval_runs=3"],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(sys.stderr):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"gridmanip {argv[0]} exited {code}")
+
+
+def digests(work: Path) -> dict:
+    return {path.relative_to(work).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(work.rglob("*")) if path.is_file()}
+
+
+def compare(found: dict, expected: dict) -> list:
+    problems = []
+    for name in sorted(expected.keys() | found.keys()):
+        if name not in found:
+            problems.append(f"missing {name}")
+        elif name not in expected:
+            problems.append(f"new {name}")
+        elif found[name] != expected[name]:
+            problems.append(f"differs {name}: {found[name]} != {expected[name]}")
+    return problems
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--record", action="store_true",
+                      help=f"store the digests in {REFERENCE.name}")
+    mode.add_argument("--against", nargs="?", const=str(REFERENCE),
+                      metavar="REF.json",
+                      help="compare with a stored reference")
+    args = parser.parse_args(argv)
+
+    key = environment_key()
+    print(f"env {key}")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        run_all(work)
+        found = digests(work)
+    for name, digest in found.items():
+        print(f"{digest}  {name}")
+
+    if args.record:
+        refs = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
+        refs[key] = found
+        REFERENCE.write_text(json.dumps(refs, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {len(found)} files under {key!r}")
+        return 0
+    if args.against:
+        refs = json.loads(Path(args.against).read_text())
+        if key not in refs:
+            print(f"no reference for {key!r} in {args.against}")
+            return 0
+        problems = compare(found, refs[key])
+        for line in problems:
+            print(line)
+        print(f"fingerprint: {len(found)} files, "
+              f"{'ok' if not problems else f'{len(problems)} mismatches'}")
+        return 1 if problems else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -116,11 +116,8 @@ class Workspace:
         return self.stacks[y][x]
 
     def height_grid(self):
-        g = np.zeros((self.height, self.width), dtype=np.float64)
-        for y in range(self.height):
-            for x in range(self.width):
-                g[y, x] = len(self.stacks[y][x])
-        return g
+        return np.array([[len(stack) for stack in row] for row in self.stacks],
+                        dtype=np.float64)
 
     def max_stack_height(self):
         return max((len(self.stacks[y][x])
@@ -241,33 +238,34 @@ def render_observation(ws: Workspace) -> Observation:
     return Observation(channels=np.stack([occupancy, norm_height, holding]))
 
 
+def _shifted(grid, dx, dy):
+    """out[y, x] = grid[y + dy, x + dx], False where that cell is off-grid."""
+    h, w = grid.shape
+    out = np.zeros_like(grid)
+    out[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)] = \
+        grid[max(0, dy):h + min(0, dy), max(0, dx):w + min(0, dx)]
+    return out
+
+
 def valid_action_mask(ws: Workspace, primitive: Primitive) -> np.ndarray:
     """Boolean (height, width) grid of poses worth attempting."""
     occupied = ws.height_grid() > 0
     if primitive is Primitive.PICK:
         return occupied
     if primitive is Primitive.PUSH:
-        mask = np.zeros_like(occupied)
+        # An occupied cell with a free on-grid neighbour along a push direction.
+        free = ~occupied
         dirs = {push_direction(r, ws.task.rotations) for r in range(ws.task.rotations)}
-        for y in range(ws.height):
-            for x in range(ws.width):
-                if not occupied[y, x]:
-                    continue
-                for dx, dy in dirs:
-                    nx, ny = x + dx, y + dy
-                    if 0 <= nx < ws.width and 0 <= ny < ws.height and not occupied[ny, nx]:
-                        mask[y, x] = True
-                        break
-        return mask
+        reachable = np.zeros_like(occupied)
+        for dx, dy in dirs:
+            reachable |= _shifted(free, dx, dy)
+        return occupied & reachable
     # Place: on or adjacent to an occupied cell, only while holding a block.
-    if ws.gripper is None:
-        return np.zeros_like(occupied)
     mask = np.zeros_like(occupied)
-    for y in range(ws.height):
-        for x in range(ws.width):
-            y0, y1 = max(0, y - 1), min(ws.height, y + 2)
-            x0, x1 = max(0, x - 1), min(ws.width, x + 2)
-            mask[y, x] = occupied[y0:y1, x0:x1].any()
+    if ws.gripper is not None:
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                mask |= _shifted(occupied, dx, dy)
     return mask
 
 

@@ -77,20 +77,38 @@ class RunConfig:
                 f"{self.task.height}, but task.rotations={self.task.rotations} "
                 "turns the grid by 90 degrees; use a square grid or 1 or 2 "
                 "rotations")
-        if self.hidden_channels < 1:
-            raise ValueError(f"network.hidden_channels={self.hidden_channels} "
-                             "must be >= 1")
         if self.batch_size < 1 or self.train_steps < 0 or self.eval_runs < 1:
             raise ValueError("batch_size/train_steps/eval_runs out of range")
         if self.replay_capacity < self.batch_size:
             raise ValueError(
                 f"replay.capacity={self.replay_capacity} is below "
                 f"network.batch_size={self.batch_size}; no batch could be drawn")
-        if not self.rank_exponent >= 0:
-            raise ValueError(f"replay.rank_exponent={self.rank_exponent} "
-                             "must be >= 0")
-        if self.window < 1:
-            raise ValueError(f"run.window={self.window} must be >= 1")
+        task, hyper = self.task, self.hyper
+        floor, span = self.decay_floor, self.decay_span
+        for key, value, ok, rule in (
+                ("network.hidden_channels", self.hidden_channels,
+                 self.hidden_channels >= 1, ">= 1"),
+                ("replay.rank_exponent", self.rank_exponent,
+                 self.rank_exponent >= 0, ">= 0"),
+                ("run.window", self.window, self.window >= 1, ">= 1"),
+                ("task.push_distance", task.push_distance,
+                 task.push_distance >= 1, ">= 1"),
+                ("task.fail_limit", task.fail_limit, task.fail_limit >= 1, ">= 1"),
+                ("network.lr", hyper.lr, hyper.lr > 0, "> 0"),
+                ("network.momentum", hyper.momentum, 0 <= hyper.momentum < 1,
+                 "in [0, 1)"),
+                ("network.gamma", hyper.gamma, 0 <= hyper.gamma <= 1, "in [0, 1]"),
+                ("network.loss_scale", hyper.loss_scale, hyper.loss_scale > 0,
+                 "> 0"),
+                ("policy.decay_rate", self.decay_rate,
+                 0 <= self.decay_rate <= 1, "in [0, 1]"),
+                ("policy.decay_span", span, span >= 0, ">= 0"),
+                ("policy.decay_floor", floor, 0 <= floor and floor + span <= 1,
+                 ">= 0, with policy.decay_floor + policy.decay_span <= 1 "
+                 "(epsilon is a probability)"),
+        ):
+            if not ok:
+                raise ValueError(f"{key}={value} must be {rule}")
 
 
 @dataclass(frozen=True)
@@ -187,6 +205,12 @@ def _masks(ws, allowed):
     return {p: valid_action_mask(ws, p) for p in allowed}
 
 
+def _actable(masks):
+    """Primitives with at least one valid pose: the only maps that action
+    selection reads."""
+    return [p for p, m in masks.items() if m.any()]
+
+
 def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
     """Run the training loop for cfg.train_steps actions.
 
@@ -210,7 +234,7 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
 
     for step_i in range(cfg.train_steps):
         masks = _masks(ws, allowed)
-        if not any(m.any() for m in masks.values()):
+        if not _actable(masks):
             # Dead end (cannot occur in the stock tasks): drop the episode.
             if buffer.has_pending:
                 buffer.finalize_pending(0.0)
@@ -220,11 +244,11 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
             ws, obs, ctx, prev_progress = _start_episode(
                 cfg.task, derive_seed(cfg.seed, _STREAM_EPISODE, episode))
             masks = _masks(ws, allowed)
-            if not any(m.any() for m in masks.values()):
+            if not _actable(masks):
                 raise NoValidActionError(
                     "task offers no valid action even after a fresh reset")
 
-        q_maps = forward_all(net, obs, ctx, allowed)
+        q_maps = forward_all(net, obs, ctx, _actable(masks))
         if cfg.exploration_kind == "lae":
             eps = lae.epsilon
             sel_state = lae
@@ -323,7 +347,8 @@ def evaluate(net: QNetwork, cfg: RunConfig) -> Metrics:
         while True:
             masks = _masks(ws, allowed)
             try:
-                action = greedy_action(forward_all(net, obs, ctx, allowed), masks)
+                action = greedy_action(
+                    forward_all(net, obs, ctx, _actable(masks)), masks)
             except NoValidActionError:
                 break
             if action.primitive is Primitive.PICK:

@@ -5,7 +5,8 @@ zero 'same' padding) maps the observation channels plus a previous-action
 context to an h x w Q grid. Rotations are handled by counter-rotating the
 input, running the stack, and rotating the output back; rotation is a cached
 nearest-neighbour gather, exact for multiples of 90 degrees on square grids,
-so its gradient is the matching scatter-add.
+so its gradient is the matching scatter-add. The input counter-rotation is
+folded into conv1's cached patch gather.
 
 Forward, backward, the robust training loss and SGD-with-momentum are all
 explicit numpy; no autodiff anywhere.
@@ -43,6 +44,10 @@ _ROTATION_CACHE = {}
 
 
 def _rotation_map(h, w, theta):
+    """Cached nearest-neighbour gather for rotating an (h, w) grid by theta:
+    (flat source pixel per output pixel, valid mask or None when every pixel
+    has a source, inverse permutation or None when the map is no bijection).
+    """
     key = (h, w, round(theta, 12))
     hit = _ROTATION_CACHE.get(key)
     if hit is not None:
@@ -55,9 +60,15 @@ def _rotation_map(h, w, theta):
     # output(p) samples input at R(-theta) (p - c) + c
     sx = np.round(ct * dx + st * dy + cx)
     sy = np.round(-st * dx + ct * dy + cy)
-    valid = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
-    flat = (np.clip(sy, 0, h - 1) * w + np.clip(sx, 0, w - 1)).astype(np.intp)
-    entry = (flat, valid)
+    valid = ((sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)).ravel()
+    flat = (np.clip(sy, 0, h - 1) * w
+            + np.clip(sx, 0, w - 1)).astype(np.intp).ravel()
+    inverse = None
+    if valid.all():
+        valid = None
+        if np.bincount(flat, minlength=h * w).max() == 1:
+            inverse = np.argsort(flat)
+    entry = (flat, valid, inverse)
     _ROTATION_CACHE[key] = entry
     return entry
 
@@ -66,85 +77,90 @@ def rotate_grid(grid: np.ndarray, theta: float) -> np.ndarray:
     """Rotate grid content by ``theta`` about the grid centre (NN sampling,
     zeros outside)."""
     h, w = grid.shape[-2:]
-    flat, valid = _rotation_map(h, w, theta)
-    stack = grid.reshape(-1, h * w)
-    out = stack[:, flat.ravel()]
-    out[:, ~valid.ravel()] = 0.0
+    flat, valid, _ = _rotation_map(h, w, theta)
+    out = grid.reshape(-1, h * w)[:, flat]
+    if valid is not None:
+        out[:, ~valid] = 0.0
     return out.reshape(grid.shape)
 
 
 def rotate_grid_grad(dout: np.ndarray, theta: float) -> np.ndarray:
-    """Gradient of rotate_grid: scatter-add through the same gather map."""
+    """Gradient of rotate_grid: scatter-add through the same gather map.
+
+    A bijective map scatters onto each pixel exactly once, so the scatter is
+    a gather through the inverse permutation; adding 0.0 keeps the result of
+    adding into zeros, which turns -0.0 into +0.0.
+    """
     h, w = dout.shape[-2:]
-    flat, valid = _rotation_map(h, w, theta)
+    flat, valid, inverse = _rotation_map(h, w, theta)
     dstack = dout.reshape(-1, h * w)
+    if inverse is not None:
+        din = dstack[:, inverse]
+        din += 0.0
+        return din.reshape(dout.shape)
     din = np.zeros_like(dstack)
-    idx = flat.ravel()[valid.ravel()]
+    keep = slice(None) if valid is None else valid
     for c in range(dstack.shape[0]):
-        np.add.at(din[c], idx, dstack[c][valid.ravel()])
+        np.add.at(din[c], flat[keep], dstack[c][keep])
     return din.reshape(dout.shape)
 
 
 # ---------------------------------------------------------------------------
 # convolution layers
+#
+# Both 3x3 layers are im2col GEMMs: a (pixels, channels*9) patch matrix times
+# the transposed weights. The patch matrices are built by one fancy-index
+# gather each, through indices cached per grid shape (and, for conv1, per
+# rotation). Every zero of the padding (and of the counter-rotation) is read
+# from a zero slot at the end of the gathered vector, so no padded copy is
+# ever made. Hidden activations stay in the GEMM's (pixels, channels) layout.
 
 
-_PATCH_CACHE = {}
+_INDEX_CACHE = {}
 
 
-def _patch_index(c, h, w, k):
-    """Flat gather indices turning a zero-padded (c, h+2p, w+2p) input into
-    an (h*w, c*k*k) patch matrix."""
-    key = (c, h, w, k)
-    hit = _PATCH_CACHE.get(key)
-    if hit is not None:
-        return hit
-    p = k // 2
-    hp, wp = h + 2 * p, w + 2 * p
-    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    base = ys.ravel()[:, None] * wp + xs.ravel()[:, None]          # (h*w, 1)
-    ci, ki, kj = np.meshgrid(np.arange(c), np.arange(k), np.arange(k),
-                             indexing="ij")
-    offset = (ci * hp * wp + ki * wp + kj).ravel()[None, :]        # (1, c*k*k)
-    idx = (base + offset).astype(np.intp)
-    _PATCH_CACHE[key] = (idx, p, hp, wp)
-    return _PATCH_CACHE[key]
+def _taps(h, w, source):
+    """(h*w, 9) source pixel read by each 3x3 tap of each output pixel under
+    zero 'same' padding; ``source`` (h*w,) names the pixel each grid pixel
+    reads (-1 for a zero), and -1 marks a tap that reads a zero."""
+    padded = np.full((h + 2, w + 2), -1, dtype=np.intp)
+    padded[1:-1, 1:-1] = source.reshape(h, w)
+    ys, xs = np.divmod(np.arange(h * w), w)
+    ki, kj = np.divmod(np.arange(9), 3)
+    return padded[ys[:, None] + ki, xs[:, None] + kj]
 
 
-def _pad(x, p):
-    if p == 0:
-        return x
-    c, h, w = x.shape
-    out = np.zeros((c, h + 2 * p, w + 2 * p), dtype=np.float64)
-    out[:, p:p + h, p:p + w] = x
-    return out
+def _input_index(c, h, w, theta):
+    """Gather index from stack_input's vector to conv1's (h*w, c*9) patch
+    matrix of the input counter-rotated by ``theta``."""
+    key = ("input", c, h, w, round(theta, 12))
+    hit = _INDEX_CACHE.get(key)
+    if hit is None:
+        flat, valid, _ = _rotation_map(h, w, -theta)
+        source = flat if valid is None else np.where(valid, flat, -1)
+        taps = _taps(h, w, source)[:, None, :]
+        channel = np.arange(c)[:, None] * (h * w)
+        hit = np.where(taps >= 0, channel + taps, c * h * w).reshape(h * w, -1)
+        _INDEX_CACHE[key] = hit
+    return hit
 
 
-def conv_forward(x, weight, bias):
-    """'Same' zero-padded convolution; x (c_in, h, w) -> (c_out, h, w)."""
-    c_out, c_in, k, _ = weight.shape
-    h, w = x.shape[1:]
-    idx, p, hp, wp = _patch_index(c_in, h, w, k)
-    patches = _pad(x, p).ravel()[idx]                              # (h*w, cin*k*k)
-    out = patches @ weight.reshape(c_out, -1).T + bias             # (h*w, c_out)
-    return out.T.reshape(c_out, h, w), patches
-
-
-def conv_backward(dout, patches, weight, x_shape, need_dx=True):
-    """Returns (dx, dweight, dbias) for conv_forward."""
-    c_out, c_in, k, _ = weight.shape
-    h, w = x_shape[1:]
-    idx, p, hp, wp = _patch_index(c_in, h, w, k)
-    dflat = dout.reshape(c_out, -1).T                              # (h*w, c_out)
-    dweight = (dflat.T @ patches).reshape(weight.shape)
-    dbias = dout.sum(axis=(1, 2))
-    if not need_dx:
-        return None, dweight, dbias
-    dpatches = dflat @ weight.reshape(c_out, -1)                   # (h*w, cin*k*k)
-    dpadded = np.bincount(idx.ravel(), weights=dpatches.ravel(),
-                          minlength=c_in * hp * wp).reshape(c_in, hp, wp)
-    dx = dpadded[:, p:p + h, p:p + w] if p else dpadded
-    return dx, dweight, dbias
+def _hidden_index(c, h, w):
+    """conv2's gather from (h*w + 1, c) activations whose last row is zero,
+    and the matching col2im scatter onto a channel-major (c, h*w) gradient
+    plus one dump bin, in the same (pixel, channel, tap) order."""
+    key = ("hidden", c, h, w)
+    hit = _INDEX_CACHE.get(key)
+    if hit is None:
+        hw = h * w
+        taps = _taps(h, w, np.arange(hw))[:, None, :]
+        channel = np.arange(c)[:, None]
+        inside = taps >= 0
+        gather = np.where(inside, taps * c + channel, hw * c + channel)
+        scatter = np.where(inside, channel * hw + taps, c * hw)
+        hit = (gather.reshape(hw, -1), scatter.ravel())
+        _INDEX_CACHE[key] = hit
+    return hit
 
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -179,24 +195,48 @@ class ConvStack:
     def params(self):
         return {name: getattr(self, name) for name in _PARAM_NAMES}
 
-    def forward(self, x):
-        """x (c_in, h, w) -> ((h, w) Q grid, cache for backward)."""
-        z1, p1 = conv_forward(x, self.w1, self.b1)
-        a1 = np.maximum(z1, 0.0)
-        z2, p2 = conv_forward(a1, self.w2, self.b2)
-        a2 = np.maximum(z2, 0.0)
-        z3, p3 = conv_forward(a2, self.w3, self.b3)
-        cache = (x.shape, z1, p1, a1.shape, z2, p2, a2.shape, p3)
-        return z3[0], cache
+    def forward(self, x, index, shape):
+        """Flat input ``x`` gathered through conv1's patch ``index`` ->
+        ((h*w, 1) Q column, cache (z1, p1, z2, p2, a2) for backward)."""
+        hw, c = index.shape[0], self.b1.shape[0]
+        p1 = x[index]
+        z1 = p1 @ self.w1.reshape(c, -1).T
+        z1 += self.b1
+        a1 = np.empty((hw + 1, c))
+        a1[hw] = 0.0
+        np.maximum(z1, 0.0, out=a1[:hw])
+        p2 = a1.ravel()[_hidden_index(c, *shape)[0]]
+        z2 = p2 @ self.w2.reshape(c, -1).T
+        z2 += self.b2
+        a2 = np.maximum(z2, 0.0)        # conv3's 1x1 patch matrix
+        q = a2 @ self.w3.reshape(1, -1).T
+        q += self.b3
+        return q, (z1, p1, z2, p2, a2)
 
     def backward(self, cache, dq, grads):
-        """Accumulate parameter gradients for dL/dq into ``grads``."""
-        x_shape, z1, p1, a1_shape, z2, p2, a2_shape, p3 = cache
-        da2, dw3, db3 = conv_backward(dq[None, :, :], p3, self.w3, a2_shape)
-        dz2 = da2 * (z2 > 0.0)
-        da1, dw2, db2 = conv_backward(dz2, p2, self.w2, a1_shape)
-        dz1 = da1 * (z1 > 0.0)
-        _, dw1, db1 = conv_backward(dz1, p1, self.w1, x_shape, need_dx=False)
+        """Accumulate parameter gradients for dL/dq (h, w) into ``grads``.
+
+        Layer gradients are channel-major (c, h*w): every GEMM and bias sum
+        takes the operand shapes and memory order of a plain im2col stack,
+        and conv2's col2im adds in the same order, so the bits match it.
+        """
+        z1, p1, z2, p2, a2 = cache
+        (h, w), c = dq.shape, z1.shape[1]
+        drow = dq.reshape(1, -1)
+        dw3 = (drow @ a2).reshape(self.w3.shape)
+        db3 = dq[None, :, :].sum(axis=(1, 2))
+        # A 1x1 col2im adds each patch gradient onto a zero once; "+ 0.0"
+        # keeps that, turning -0.0 into +0.0.
+        dz2 = np.add((drow.T @ self.w3.reshape(1, -1)).T, 0.0, order="C")
+        dz2 *= z2.T > 0.0
+        dw2 = (dz2 @ p2).reshape(self.w2.shape)
+        db2 = dz2.reshape(c, h, w).sum(axis=(1, 2))
+        dp2 = dz2.T @ self.w2.reshape(c, -1)
+        dz1 = np.bincount(_hidden_index(c, h, w)[1], weights=dp2.ravel(),
+                          minlength=c * h * w + 1)[:-1].reshape(c, -1)
+        dz1 *= z1.T > 0.0
+        dw1 = (dz1 @ p1).reshape(self.w1.shape)
+        db1 = dz1.reshape(c, h, w).sum(axis=(1, 2))
         for name, g in zip(_PARAM_NAMES, (dw1, db1, dw2, db2, dw3, db3)):
             grads[name] = grads.get(name, 0.0) + g
 
@@ -251,30 +291,40 @@ class QNetwork:
         return out
 
 
+_ZERO_SLOT = np.zeros(1)
+
+
 def stack_input(obs: Observation, ctx: PrevActionContext) -> np.ndarray:
-    return np.concatenate([obs.channels, ctx.channels], axis=0)
+    """Observation then context channels, flattened, plus one trailing zero
+    that conv1's gather reads for padding and out-of-grid pixels."""
+    return np.concatenate((obs.channels.ravel(), ctx.channels.ravel(),
+                           _ZERO_SLOT))
 
 
-def forward_rotation(net: QNetwork, x: np.ndarray, primitive: Primitive,
+def forward_rotation(net: QNetwork, x: np.ndarray, shape, primitive: Primitive,
                      theta_index: int):
-    """Q grid for one rotation: counter-rotate input, run stack, rotate back."""
+    """Q grid for one rotation of the flat input ``x`` (see stack_input) on
+    an ``shape`` grid: counter-rotate input, run stack, rotate back."""
     theta = theta_radians(theta_index, net.rotations)
-    x_rot = rotate_grid(x, -theta)
-    q, cache = net.stacks[primitive].forward(x_rot)
-    return rotate_grid(q, theta), cache, theta
+    index = _input_index(net.in_channels, *shape, theta)
+    q, cache = net.stacks[primitive].forward(x, index, shape)
+    return rotate_grid(q.reshape(shape), theta), cache, theta
+
+
+def _rotation_maps(net, x, shape, primitive):
+    return np.stack([forward_rotation(net, x, shape, primitive, r)[0]
+                     for r in range(net.rotations)])
 
 
 def forward(net: QNetwork, obs: Observation, ctx: PrevActionContext,
             primitive: Primitive) -> np.ndarray:
     """Full (rotations, h, w) Q-map set for one primitive."""
-    x = stack_input(obs, ctx)
-    maps = [forward_rotation(net, x, primitive, r)[0]
-            for r in range(net.rotations)]
-    return np.stack(maps)
+    return _rotation_maps(net, stack_input(obs, ctx), obs.shape, primitive)
 
 
 def forward_all(net: QNetwork, obs, ctx, primitives) -> dict:
-    return {prim: forward(net, obs, ctx, prim) for prim in primitives}
+    x = stack_input(obs, ctx)
+    return {prim: _rotation_maps(net, x, obs.shape, prim) for prim in primitives}
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +398,20 @@ def train_step(net: QNetwork, batch, hp: TrainHyper):
     per_losses = np.zeros(len(batch))
     n = len(batch)
 
+    # Each item's backward runs right after its forward, while its patch
+    # matrices are still in cache (measured faster than batching the loss).
     for i, tr in enumerate(batch):
         x = stack_input(tr.observation, tr.prev_action_context)
-        pred, cache, theta = forward_rotation(net, x, tr.action.primitive,
+        pred, cache, theta = forward_rotation(net, x, tr.observation.shape,
+                                              tr.action.primitive,
                                               tr.action.theta_index)
         y = compute_target(tr.r_t, tr.r_next, hp.gamma)
         targets = build_target_map(tr.reward_map, tr.action, y)
         mask = tr.reward_map.supervised_mask
         residuals = pred[mask] - targets[mask]
         losses, dresiduals = robust_loss(residuals, hp.loss_alpha, hp.loss_scale)
-        per_losses[i] = float(np.mean(losses))
-
+        # The mean as np.mean computes it: pairwise sum, then one division.
+        per_losses[i] = losses.sum() / residuals.size
         dpred = np.zeros_like(pred)
         dpred[mask] = dresiduals / (residuals.size * n)
         dq = rotate_grid_grad(dpred, theta)

@@ -112,28 +112,41 @@ def _spike(value, x, y, shape):
     return grid
 
 
-def _support_mask(x, y, half_width, shape):
-    mask = np.zeros(shape, dtype=bool)
-    h, w = shape
-    y0, y1 = max(0, y - half_width), min(h, y + half_width + 1)
-    x0, x1 = max(0, x - half_width), min(w, x + half_width + 1)
-    mask[y0:y1, x0:x1] = True
-    return mask
+_KERNEL_CACHE = {}
+
+
+def _cached_kernel(theta, params):
+    # RewardParams is mutable, so the key holds every number the kernel uses.
+    key = (theta, params.sigma_x, params.sigma_y, params.truncation)
+    kernel = _KERNEL_CACHE.get(key)
+    if kernel is None:
+        kernel = _KERNEL_CACHE[key] = gaussian_kernel(theta, params)
+    return kernel
 
 
 def tpg_reward_map(r_tp: float, pose, params: RewardParams, shape) -> RewardMap:
     """Smoothed reward map: max(spike, spike * Gaussian), plus the mask of
     pixels inside the translated kernel support (clipped at the borders).
 
-    ``pose`` is (x, y, theta_radians) of the executed action.
+    ``pose`` is (x, y, theta_radians) of the executed action. Convolving a
+    one-pixel spike pastes ``r_tp`` times the kernel around the pixel; adding
+    the paste onto zeros keeps convolve_same's bits (0.0 + -0.0 is +0.0).
     """
     if r_tp < 0:
         raise ValueError("shaped reward must be nonnegative")
     x, y, theta = pose
+    k = params.truncation
+    h, w = shape
+    y0, y1 = max(0, y - k), min(h, y + k + 1)
+    x0, x1 = max(0, x - k), min(w, x + k + 1)
+    kernel = _cached_kernel(theta, params)[y0 - y + k:y1 - y + k,
+                                           x0 - x + k:x1 - x + k]
+    smoothed = np.zeros(shape, dtype=np.float64)
+    smoothed[y0:y1, x0:x1] += r_tp * kernel
+    mask = np.zeros(shape, dtype=bool)
+    mask[y0:y1, x0:x1] = True
     spike = _spike(r_tp, x, y, shape)
-    smoothed = convolve_same(spike, gaussian_kernel(theta, params))
-    return RewardMap(grid=np.maximum(spike, smoothed),
-                     supervised_mask=_support_mask(x, y, params.truncation, shape))
+    return RewardMap(grid=np.maximum(spike, smoothed), supervised_mask=mask)
 
 
 def spike_reward_map(r: float, pose, shape) -> RewardMap:

@@ -73,14 +73,15 @@ def _transition_loss(net, transition, hp):
     gradient is exact.
     """
     x = stack_input(transition.observation, transition.prev_action_context)
-    pred, cache, _ = forward_rotation(net, x, transition.action.primitive,
+    pred, cache, _ = forward_rotation(net, x, transition.observation.shape,
+                                      transition.action.primitive,
                                       transition.action.theta_index)
     y = compute_target(transition.r_t, transition.r_next, hp.gamma)
     targets = build_target_map(transition.reward_map, transition.action, y)
     mask = transition.reward_map.supervised_mask
     losses, _ = robust_loss(pred[mask] - targets[mask], hp.loss_alpha,
                             hp.loss_scale)
-    z1, z2 = cache[1], cache[4]
+    z1, z2 = cache[0], cache[2]
     pattern = np.concatenate([(z1 > 0.0).ravel(), (z2 > 0.0).ravel()])
     return float(np.mean(losses)), pattern
 
@@ -88,7 +89,8 @@ def _transition_loss(net, transition, hp):
 def _transition_gradients(net, transition, hp):
     """Analytic dLoss/dparams for one transition (no update applied)."""
     x = stack_input(transition.observation, transition.prev_action_context)
-    pred, cache, theta = forward_rotation(net, x, transition.action.primitive,
+    pred, cache, theta = forward_rotation(net, x, transition.observation.shape,
+                                          transition.action.primitive,
                                           transition.action.theta_index)
     y = compute_target(transition.r_t, transition.r_next, hp.gamma)
     targets = build_target_map(transition.reward_map, transition.action, y)

@@ -199,6 +199,14 @@ class TestTrainCommand:
         ("task.width=8", "task.width"),
         ("reward.kind=nope", "reward.kind"),
         ("policy.kind=nope", "policy.kind"),
+        ("network.loss_scale=0", "network.loss_scale"),
+        ("network.lr=-1", "network.lr"),
+        ("network.momentum=1.5", "network.momentum"),
+        ("network.gamma=-2", "network.gamma"),
+        ("task.fail_limit=0", "task.fail_limit"),
+        ("task.push_distance=0", "task.push_distance"),
+        ("policy.decay_rate=1.5", "policy.decay_rate"),
+        ("policy.decay_floor=0.9", "policy.decay_floor"),
     ])
     def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                  capsys, override, named):

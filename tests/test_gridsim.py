@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gridmanip import gridsim
 from gridmanip.gridsim import (Action, ConfigurationError, ContractViolation,
@@ -424,3 +425,70 @@ class TestScripted:
         ws, obs = gridsim.reset(task, seed=0)
         assert ws.height_norm == 3
         assert obs.channels[1][2, 3] == pytest.approx(1.0)
+
+
+def loop_height_grid(ws):
+    g = np.zeros((ws.height, ws.width), dtype=np.float64)
+    for y in range(ws.height):
+        for x in range(ws.width):
+            g[y, x] = len(ws.stacks[y][x])
+    return g
+
+
+def loop_valid_action_mask(ws, primitive):
+    """The cell-by-cell masks that valid_action_mask's shifted slices
+    replaced."""
+    occupied = loop_height_grid(ws) > 0
+    if primitive is Primitive.PICK:
+        return occupied
+    if primitive is Primitive.PUSH:
+        mask = np.zeros_like(occupied)
+        dirs = {gridsim.push_direction(r, ws.task.rotations)
+                for r in range(ws.task.rotations)}
+        for y in range(ws.height):
+            for x in range(ws.width):
+                if not occupied[y, x]:
+                    continue
+                for dx, dy in dirs:
+                    nx, ny = x + dx, y + dy
+                    if 0 <= nx < ws.width and 0 <= ny < ws.height \
+                            and not occupied[ny, nx]:
+                        mask[y, x] = True
+                        break
+        return mask
+    if ws.gripper is None:
+        return np.zeros_like(occupied)
+    mask = np.zeros_like(occupied)
+    for y in range(ws.height):
+        for x in range(ws.width):
+            y0, y1 = max(0, y - 1), min(ws.height, y + 2)
+            x0, x1 = max(0, x - 1), min(ws.width, x + 2)
+            mask[y, x] = occupied[y0:y1, x0:x1].any()
+    return mask
+
+
+class TestMaskLoopOracle:
+    @given(h=st.integers(1, 14), w=st.integers(1, 14),
+           rotations=st.sampled_from([1, 2, 3, 4, 8]),
+           kind=st.sampled_from([TaskKind.BLOCK_STACKING,
+                                 TaskKind.CLUTTER_REMOVAL]),
+           holding=st.booleans(), fill=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_masks_and_heights_equal_loop_version(self, h, w, rotations, kind,
+                                                  holding, fill, seed):
+        rng = np.random.default_rng(seed)
+        heights = (rng.random((h, w)) < fill) * rng.integers(1, 4, size=(h, w))
+        stacks = [[list(range(heights[y, x])) for x in range(w)]
+                  for y in range(h)]
+        task = TaskConfig(kind=kind, n_blocks=int(heights.sum()), width=w,
+                          height=h, goal_stack_height=2, rotations=rotations)
+        ws = gridsim.Workspace(width=w, height=h, stacks=stacks, task=task,
+                               rng_seed=seed, gripper=99 if holding else None)
+        grid = ws.height_grid()
+        assert grid.dtype == np.float64
+        assert grid.tobytes() == loop_height_grid(ws).tobytes()
+        for prim in Primitive:
+            mask = gridsim.valid_action_mask(ws, prim)
+            ref = loop_valid_action_mask(ws, prim)
+            assert mask.dtype == ref.dtype and mask.shape == ref.shape
+            assert mask.tobytes() == ref.tobytes()

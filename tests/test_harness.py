@@ -10,7 +10,7 @@ from gridmanip.harness import (ABLATION_VARIANTS, RunConfig, derive_seed,
                                evaluate, ideal_actions, run_ablation, train,
                                variant_config)
 from gridmanip.policy import NoValidActionError
-from gridmanip.qfunc import QNetwork
+from gridmanip.qfunc import QNetwork, TrainHyper
 
 
 def small_config(**kw):
@@ -143,6 +143,18 @@ class TestTrain:
                              goal_stack_height=2, width=8, height=7)),
         dict(reward_kind="nope"),
         dict(exploration_kind="nope"),
+        dict(hyper=TrainHyper(loss_scale=0.0)),
+        dict(hyper=TrainHyper(lr=-1.0)),
+        dict(hyper=TrainHyper(momentum=1.5)),
+        dict(hyper=TrainHyper(gamma=-2.0)),
+        dict(task=TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=4,
+                             goal_stack_height=2, width=7, height=7,
+                             fail_limit=0)),
+        dict(task=TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=4,
+                             goal_stack_height=2, width=7, height=7,
+                             push_distance=0)),
+        dict(decay_rate=1.5),
+        dict(decay_floor=0.9),
     ])
     def test_out_of_range_run_config_rejected(self, bad):
         with pytest.raises(ValueError):

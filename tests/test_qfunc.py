@@ -2,18 +2,210 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gridmanip.gridsim import Action, Observation, Primitive, PRIMITIVE_ORDER
+from gridmanip.gridsim import (Action, Observation, Primitive, PRIMITIVE_ORDER,
+                               theta_radians)
 from gridmanip.qfunc import (PrevActionContext, QNetwork, TrainHyper,
                              TrainingDivergence, build_target_map,
-                             compute_target, conv_backward, conv_forward,
-                             forward, load_checkpoint, meta_path,
+                             compute_target, forward, forward_all,
+                             load_checkpoint, meta_path,
                              read_checkpoint_header, robust_loss, rotate_grid,
                              rotate_grid_grad, save_checkpoint, train_step)
 from gridmanip.replay import Transition
 from gridmanip.reward import RewardParams, spike_reward_map, tpg_reward_map
 from gridmanip.selftest import gradient_check
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the straightforward im2col network that the
+# lean hot path in gridmanip.qfunc must reproduce bit for bit. Every layer
+# rotates or pads its input into a fresh array, gathers patches from it and
+# keeps the (channels, h, w) layout; rotation gradients scatter-add.
+
+
+def ref_rotation_map(h, w, theta):
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    dx, dy = xs - cx, ys - cy
+    ct, st_ = math.cos(theta), math.sin(theta)
+    sx = np.round(ct * dx + st_ * dy + cx)
+    sy = np.round(-st_ * dx + ct * dy + cy)
+    valid = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
+    flat = (np.clip(sy, 0, h - 1) * w + np.clip(sx, 0, w - 1)).astype(np.intp)
+    return flat, valid
+
+
+def ref_rotate_grid(grid, theta):
+    h, w = grid.shape[-2:]
+    flat, valid = ref_rotation_map(h, w, theta)
+    stack = grid.reshape(-1, h * w)
+    out = stack[:, flat.ravel()]
+    out[:, ~valid.ravel()] = 0.0
+    return out.reshape(grid.shape)
+
+
+def ref_rotate_grid_grad(dout, theta):
+    h, w = dout.shape[-2:]
+    flat, valid = ref_rotation_map(h, w, theta)
+    dstack = dout.reshape(-1, h * w)
+    din = np.zeros_like(dstack)
+    idx = flat.ravel()[valid.ravel()]
+    for c in range(dstack.shape[0]):
+        np.add.at(din[c], idx, dstack[c][valid.ravel()])
+    return din.reshape(dout.shape)
+
+
+def ref_patch_index(c, h, w, k):
+    p = k // 2
+    hp, wp = h + 2 * p, w + 2 * p
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    base = ys.ravel()[:, None] * wp + xs.ravel()[:, None]
+    ci, ki, kj = np.meshgrid(np.arange(c), np.arange(k), np.arange(k),
+                             indexing="ij")
+    offset = (ci * hp * wp + ki * wp + kj).ravel()[None, :]
+    return (base + offset).astype(np.intp), p, hp, wp
+
+
+def ref_pad(x, p):
+    if p == 0:
+        return x
+    c, h, w = x.shape
+    out = np.zeros((c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    out[:, p:p + h, p:p + w] = x
+    return out
+
+
+def conv_forward(x, weight, bias):
+    """'Same' zero-padded convolution; x (c_in, h, w) -> (c_out, h, w)."""
+    c_out, c_in, k, _ = weight.shape
+    h, w = x.shape[1:]
+    idx, p, hp, wp = ref_patch_index(c_in, h, w, k)
+    patches = ref_pad(x, p).ravel()[idx]
+    out = patches @ weight.reshape(c_out, -1).T + bias
+    return out.T.reshape(c_out, h, w), patches
+
+
+def conv_backward(dout, patches, weight, x_shape, need_dx=True):
+    """Returns (dx, dweight, dbias) for conv_forward."""
+    c_out, c_in, k, _ = weight.shape
+    h, w = x_shape[1:]
+    idx, p, hp, wp = ref_patch_index(c_in, h, w, k)
+    dflat = dout.reshape(c_out, -1).T
+    dweight = (dflat.T @ patches).reshape(weight.shape)
+    dbias = dout.sum(axis=(1, 2))
+    if not need_dx:
+        return None, dweight, dbias
+    dpatches = dflat @ weight.reshape(c_out, -1)
+    dpadded = np.bincount(idx.ravel(), weights=dpatches.ravel(),
+                          minlength=c_in * hp * wp).reshape(c_in, hp, wp)
+    dx = dpadded[:, p:p + h, p:p + w] if p else dpadded
+    return dx, dweight, dbias
+
+
+def ref_stack_forward(stack, x):
+    z1, p1 = conv_forward(x, stack.w1, stack.b1)
+    a1 = np.maximum(z1, 0.0)
+    z2, p2 = conv_forward(a1, stack.w2, stack.b2)
+    a2 = np.maximum(z2, 0.0)
+    z3, p3 = conv_forward(a2, stack.w3, stack.b3)
+    return z3[0], (x.shape, z1, p1, a1.shape, z2, p2, a2.shape, p3)
+
+
+def ref_stack_backward(stack, cache, dq, grads):
+    x_shape, z1, p1, a1_shape, z2, p2, a2_shape, p3 = cache
+    da2, dw3, db3 = conv_backward(dq[None, :, :], p3, stack.w3, a2_shape)
+    dz2 = da2 * (z2 > 0.0)
+    da1, dw2, db2 = conv_backward(dz2, p2, stack.w2, a1_shape)
+    dz1 = da1 * (z1 > 0.0)
+    _, dw1, db1 = conv_backward(dz1, p1, stack.w1, x_shape, need_dx=False)
+    for name, g in zip(("w1", "b1", "w2", "b2", "w3", "b3"),
+                       (dw1, db1, dw2, db2, dw3, db3)):
+        grads[name] = grads.get(name, 0.0) + g
+
+
+def ref_forward_rotation(net, x, primitive, theta_index):
+    theta = theta_radians(theta_index, net.rotations)
+    q, cache = ref_stack_forward(net.stacks[primitive],
+                                 ref_rotate_grid(x, -theta))
+    return ref_rotate_grid(q, theta), cache, theta
+
+
+def ref_forward(net, obs, ctx, primitive):
+    x = np.concatenate([obs.channels, ctx.channels], axis=0)
+    return np.stack([ref_forward_rotation(net, x, primitive, r)[0]
+                     for r in range(net.rotations)])
+
+
+def ref_train_step(net, batch, hp):
+    grads = {prim: {} for prim in PRIMITIVE_ORDER}
+    touched = set()
+    per_losses = np.zeros(len(batch))
+    n = len(batch)
+    for i, tr in enumerate(batch):
+        x = np.concatenate([tr.observation.channels,
+                            tr.prev_action_context.channels], axis=0)
+        pred, cache, theta = ref_forward_rotation(net, x, tr.action.primitive,
+                                                  tr.action.theta_index)
+        y = compute_target(tr.r_t, tr.r_next, hp.gamma)
+        targets = build_target_map(tr.reward_map, tr.action, y)
+        mask = tr.reward_map.supervised_mask
+        residuals = pred[mask] - targets[mask]
+        losses, dresiduals = robust_loss(residuals, hp.loss_alpha,
+                                         hp.loss_scale)
+        per_losses[i] = float(np.mean(losses))
+        dpred = np.zeros_like(pred)
+        dpred[mask] = dresiduals / (residuals.size * n)
+        dq = ref_rotate_grid_grad(dpred, theta)
+        ref_stack_backward(net.stacks[tr.action.primitive], cache, dq,
+                           grads[tr.action.primitive])
+        touched.add(tr.action.primitive)
+    for prim in touched:
+        net.stacks[prim].apply_sgd(grads[prim], hp.lr, hp.momentum)
+    return float(np.mean(per_losses)), per_losses
+
+
+def oracle_case(seed, rotations, hidden):
+    """A generator for the inputs and two equal networks: one for the code
+    under test, one for the reference."""
+    rng = np.random.default_rng(seed)
+    nets = [QNetwork.init(np.random.default_rng(seed), in_channels=6,
+                          hidden_channels=hidden, rotations=rotations)
+            for _ in range(2)]
+    return rng, nets
+
+
+def oracle_inputs(rng, h, w):
+    """An observation with negative values and a sparse previous-action
+    context holding negatives and -0.0."""
+    obs = Observation(channels=rng.normal(size=(3, h, w)))
+    ctx = rng.normal(size=(3, h, w)) * (rng.random((3, h, w)) < 0.2)
+    ctx[rng.random((3, h, w)) < 0.2] = -0.0
+    return obs, PrevActionContext(channels=ctx)
+
+
+def oracle_transition(rng, h, w, rotations):
+    obs, ctx = oracle_inputs(rng, h, w)
+    theta_index = int(rng.integers(rotations))
+    x, y = int(rng.integers(w)), int(rng.integers(h))
+    r_t = float(rng.choice([0.0, rng.uniform(0.05, 1.0)]))
+    if rng.random() < 0.5:
+        rmap = tpg_reward_map(r_t, (x, y, theta_radians(theta_index, rotations)),
+                              RewardParams(sigma_y=float(rng.uniform(0.3, 1.0))),
+                              (h, w))
+    else:
+        rmap = spike_reward_map(r_t, (x, y), (h, w))
+    action = Action(PRIMITIVE_ORDER[int(rng.integers(3))], x, y, theta_index,
+                    float(rng.normal()))
+    return Transition(observation=obs, prev_action_context=ctx, action=action,
+                      r_t=r_t, reward_map=rmap,
+                      r_next=float(rng.uniform(0.0, 1.0)))
+
+
+oracle_shapes = st.tuples(st.integers(3, 14), st.integers(3, 14),
+                          st.sampled_from([1, 2, 4, 8])).map(
+    lambda t: t if t[2] in (1, 2) else (t[0], t[0], t[2]))
 
 
 def fresh_net(seed=0, hidden=16, rotations=4):
@@ -66,7 +258,70 @@ class TestRotation:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+class TestReferenceOracle:
+    """The lean network against the reference above, compared by bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes, hidden=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_q_maps_bitwise_equal(self, shape, hidden, seed):
+        h, w, rotations = shape
+        rng, (net, ref_net) = oracle_case(seed, rotations, hidden)
+        obs, ctx = oracle_inputs(rng, h, w)
+        maps = forward_all(net, obs, ctx, PRIMITIVE_ORDER)
+        for prim in PRIMITIVE_ORDER:
+            assert maps[prim].tobytes() == \
+                ref_forward(ref_net, obs, ctx, prim).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes, hidden=st.integers(1, 16),
+           batch_size=st.integers(1, 6),
+           alpha=st.sampled_from([1.0, 2.0, 0.0, 0.5, -1.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_train_steps_bitwise_equal(self, shape, hidden, batch_size, alpha,
+                                       seed):
+        h, w, rotations = shape
+        rng, (net, ref_net) = oracle_case(seed, rotations, hidden)
+        hp = TrainHyper(lr=0.05, loss_alpha=alpha)
+        for _ in range(3):
+            batch = [oracle_transition(rng, h, w, rotations)
+                     for _ in range(batch_size)]
+            loss, per = train_step(net, batch, hp)
+            ref_loss, ref_per = ref_train_step(ref_net, batch, hp)
+            assert per.tobytes() == ref_per.tobytes()
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        for prim in PRIMITIVE_ORDER:
+            stack, ref_stack = net.stacks[prim], ref_net.stacks[prim]
+            for name, arr in stack.params().items():
+                assert arr.tobytes() == ref_stack.params()[name].tobytes()
+            assert stack.velocity.keys() == ref_stack.velocity.keys()
+            for name, v in stack.velocity.items():
+                assert v.tobytes() == ref_stack.velocity[name].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes, theta_index=st.integers(0, 7),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rotation_grad_bitwise_equal(self, shape, theta_index, seed):
+        h, w, rotations = shape
+        rng = np.random.default_rng(seed)
+        dout = rng.normal(size=(2, h, w))
+        dout[rng.random((2, h, w)) < 0.3] = -0.0
+        theta = theta_radians(theta_index % rotations, rotations)
+        assert rotate_grid_grad(dout, theta).tobytes() == \
+            ref_rotate_grid_grad(dout, theta).tobytes()
+
+    def test_rotation_grad_turns_negative_zero_positive(self):
+        dout = np.full((4, 4), -0.0)
+        dout[1, 2] = -1.5
+        din = rotate_grid_grad(dout, math.pi / 2)
+        assert din.tobytes() == ref_rotate_grid_grad(dout, math.pi / 2).tobytes()
+        assert not np.signbit(din[din == 0.0]).any()
+        assert (din == -1.5).sum() == 1
+
+
 class TestConvLayer:
+    """The reference im2col layer used by the oracle tests."""
+
     def test_same_shape_and_known_value(self):
         x = np.zeros((1, 5, 5))
         x[0, 2, 2] = 1.0

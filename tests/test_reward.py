@@ -170,3 +170,41 @@ class TestBaseline:
         assert rmap.supervised_mask[4, 3]
         assert rmap.grid[4, 3] == 1.0
         assert rmap.grid.sum() == 1.0
+
+
+def convolved_reward_map(r_tp, pose, params, shape):
+    """The convolution path tpg_reward_map replaced: a one-hot spike run
+    through convolve_same, max-fused with the spike."""
+    x, y, theta = pose
+    spike = np.zeros(shape)
+    spike[y, x] = r_tp
+    smoothed = convolve_same(spike, gaussian_kernel(theta, params))
+    k = params.truncation
+    mask = np.zeros(shape, dtype=bool)
+    mask[max(0, y - k):y + k + 1, max(0, x - k):x + k + 1] = True
+    return np.maximum(spike, smoothed), mask
+
+
+class TestPastedKernelOracle:
+    @given(h=st.integers(1, 16), w=st.integers(1, 16),
+           x=st.integers(0, 15), y=st.integers(0, 15),
+           theta_index=st.integers(0, 7), rotations=st.sampled_from([1, 4, 8]),
+           r_tp=st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0, 3),
+           sigma_y=st.floats(0.2, 1.5), anisotropy=st.floats(0.5, 2.5))
+    def test_bitwise_equal_to_convolution(self, h, w, x, y, theta_index,
+                                          rotations, r_tp, sigma_y, anisotropy):
+        pose = (x % w, y % h, 2 * math.pi * (theta_index % rotations) / rotations)
+        params = RewardParams(sigma_y=sigma_y, anisotropy=anisotropy)
+        rmap = tpg_reward_map(r_tp, pose, params, (h, w))
+        grid, mask = convolved_reward_map(r_tp, pose, params, (h, w))
+        assert rmap.grid.tobytes() == grid.tobytes()
+        assert rmap.supervised_mask.tobytes() == mask.tobytes()
+
+    def test_mutated_params_not_served_from_cache(self):
+        params = RewardParams(sigma_y=0.5)
+        before = tpg_reward_map(1.0, (4, 4, 0.0), params, (9, 9))
+        params.sigma_y = 1.0
+        after = tpg_reward_map(1.0, (4, 4, 0.0), params, (9, 9))
+        grid, _ = convolved_reward_map(1.0, (4, 4, 0.0), params, (9, 9))
+        assert after.grid.tobytes() == grid.tobytes()
+        assert not np.array_equal(before.grid, after.grid)
