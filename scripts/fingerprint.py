@@ -7,8 +7,11 @@
 Runs, in a temporary directory and from the ``src/`` of this checkout:
 ``gridmanip train --dump-replay`` on ``configs/default.ini``, ``gridmanip
 eval`` on the checkpoint it wrote, and ``gridmanip ablate`` with
-``run.train_steps=60 run.eval_runs=3``. It then prints the sha256 of every
-output file. BLAS is pinned to one thread.
+``run.train_steps=60 run.eval_runs=3``. Two more train/eval pairs cover the
+other branches of the episode loop: push/pick clutter removal (60 steps, 3
+runs) and a scripted 4x1 push-only layout whose every episode ends in a dead
+end with no valid action (40 steps, 3 runs). It then prints the sha256 of
+every output file. BLAS is pinned to one thread.
 
 The reference (``scripts/fingerprint_ref.json``) is keyed by the numpy
 version, the BLAS name and version and the machine type, because GEMM bits
@@ -45,6 +48,17 @@ def environment_key():
             f"{blas.get('version')} | {platform.machine()}")
 
 
+# (output prefix, train steps, eval runs, --set overrides of default.ini)
+EXTRA_RUNS = [
+    ("clutter", 60, 3,
+     ["task.kind=clutter_removal", "task.allowed_primitives=push,pick"]),
+    ("dead_end", 40, 3,
+     ["task.kind=scripted_arrangement", "task.width=4", "task.height=1",
+      "task.n_blocks=0", "task.allowed_primitives=push", "task.rotations=1",
+      "task.layout=1..."]),
+]
+
+
 def run_all(work: Path):
     from gridmanip.cli import main
     config = str(ROOT / "configs" / "default.ini")
@@ -56,6 +70,16 @@ def run_all(work: Path):
         ["ablate", "--config", config, "--out", str(work / "ablate"),
          "--set", "run.train_steps=60", "--set", "run.eval_runs=3"],
     ]
+    for name, steps, runs, overrides in EXTRA_RUNS:
+        sets = [arg for kv in overrides for arg in ("--set", kv)]
+        train_dir = work / f"{name}_train"
+        commands += [
+            ["train", "--config", config, "--out", str(train_dir), *sets,
+             "--set", f"run.train_steps={steps}"],
+            ["eval", "--config", config, "--out", str(work / f"{name}_eval"),
+             "--checkpoint", str(train_dir / "checkpoint.bin"), *sets,
+             "--set", f"run.eval_runs={runs}"],
+        ]
     for argv in commands:
         with contextlib.redirect_stdout(sys.stderr):
             code = main(argv)

@@ -7,6 +7,7 @@ determines all logged numbers. Evaluation runs greedy episodes on frozen
 weights and never touches the network.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -91,6 +92,8 @@ class RunConfig:
                 ("replay.rank_exponent", self.rank_exponent,
                  self.rank_exponent >= 0, ">= 0"),
                 ("run.window", self.window, self.window >= 1, ">= 1"),
+                ("run.checkpoint_every", self.checkpoint_every,
+                 self.checkpoint_every >= 0, ">= 0 (0: no periodic checkpoint)"),
                 ("task.push_distance", task.push_distance,
                  task.push_distance >= 1, ">= 1"),
                 ("task.fail_limit", task.fail_limit, task.fail_limit >= 1, ">= 1"),
@@ -193,22 +196,54 @@ def _reward_for_step(cfg, action, success, progress, prev_progress, shape):
     return r_tp, rmap
 
 
-def _start_episode(task: TaskConfig, seed):
-    """Fresh world and observation, an empty previous-action context, and
-    the starting task progress."""
-    ws, obs = gridsim.reset(task, seed)
-    ctx = PrevActionContext.initial(task.height, task.width)
-    return ws, obs, ctx, gridsim.task_progress(ws)
+def _play(net, task: TaskConfig, seeds, choose):
+    """The episode-step loop that training and evaluation share.
+
+    For each seed: reset the world, then step until the episode ends. A step
+    builds the validity masks, runs the Q maps of the primitives with a valid
+    pose, picks an action with ``choose(ws, q_maps, masks)`` and executes it.
+    Yields ``(ws, obs, ctx, progress, action, result)``, where obs, ctx and
+    progress are what the action was chosen from. A dead end (no valid pose,
+    or ``choose`` returns None) yields ``action = result = None`` and ends
+    the episode.
+    """
+    shape = (task.height, task.width)
+    for seed in seeds:
+        ws, obs = gridsim.reset(task, seed)
+        ctx = PrevActionContext.initial(*shape)
+        progress = gridsim.task_progress(ws)
+        while True:
+            masks = {p: valid_action_mask(ws, p) for p in task.allowed_primitives}
+            actable = [p for p, m in masks.items() if m.any()]
+            action = (choose(ws, forward_all(net, obs, ctx, actable), masks)
+                      if actable else None)
+            result = None if action is None else gridsim.step(ws, action)
+            yield ws, obs, ctx, progress, action, result
+            if result is None or result.done:
+                break
+            obs = result.next_observation
+            ctx = PrevActionContext.from_action(action, *shape)
+            progress = result.progress
 
 
-def _masks(ws, allowed):
-    return {p: valid_action_mask(ws, p) for p in allowed}
+def _step_record(step, action, result, r_tp=0.0, y_target=None, loss=None,
+                 epsilon=0.0):
+    return StepRecord(
+        step=step, primitive=action.primitive.value, x=action.x, y=action.y,
+        theta_index=action.theta_index, q_value=action.q_value,
+        success=result.primitive_success, progress=result.progress,
+        r_tp=r_tp, y_target=y_target, loss=loss, epsilon=epsilon,
+        done=result.done,
+        done_reason=result.done_reason.value if result.done_reason else "")
 
 
-def _actable(masks):
-    """Primitives with at least one valid pose: the only maps that action
-    selection reads."""
-    return [p for p, m in masks.items() if m.any()]
+def _exploration(cfg, lae, step_i):
+    """The exploration state training acts with at step_i: the LAE state,
+    or a copy carrying the decay schedule's epsilon."""
+    if cfg.exploration_kind == "lae":
+        return lae
+    return replace(lae, epsilon=epsilon_greedy_decay(
+        step_i, cfg.decay_floor, cfg.decay_span, cfg.decay_rate))
 
 
 def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
@@ -225,39 +260,30 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
     buffer = ReplayBuffer(capacity=cfg.replay_capacity,
                           rank_exponent=cfg.rank_exponent)
     lae = cfg.exploration
-    allowed = cfg.task.allowed_primitives
-
-    episode = 0
-    ws, obs, ctx, prev_progress = _start_episode(
-        cfg.task, derive_seed(cfg.seed, _STREAM_EPISODE, episode))
+    seeds = (derive_seed(cfg.seed, _STREAM_EPISODE, episode)
+             for episode in itertools.count())
+    # The policy reads lae and step_i when it is called: the current ones.
+    steps = _play(net, cfg.task, seeds, lambda ws, q_maps, masks: select_action(
+        q_maps, masks, _exploration(cfg, lae, step_i), policy_rng))
     records, episodes = [], []
+    step_i = 0
+    after_dead_end = False
 
-    for step_i in range(cfg.train_steps):
-        masks = _masks(ws, allowed)
-        if not _actable(masks):
+    while step_i < cfg.train_steps:
+        ws, obs, ctx, prev_progress, action, result = next(steps)
+        if action is None:
             # Dead end (cannot occur in the stock tasks): drop the episode.
+            if after_dead_end:
+                raise NoValidActionError(
+                    "task offers no valid action even after a fresh reset")
+            after_dead_end = True
             if buffer.has_pending:
                 buffer.finalize_pending(0.0)
             episodes.append(EpisodeSummary(step_i, ws.step_count,
                                            "no_valid_action", prev_progress))
-            episode += 1
-            ws, obs, ctx, prev_progress = _start_episode(
-                cfg.task, derive_seed(cfg.seed, _STREAM_EPISODE, episode))
-            masks = _masks(ws, allowed)
-            if not _actable(masks):
-                raise NoValidActionError(
-                    "task offers no valid action even after a fresh reset")
-
-        q_maps = forward_all(net, obs, ctx, _actable(masks))
-        if cfg.exploration_kind == "lae":
-            eps = lae.epsilon
-            sel_state = lae
-        else:
-            eps = epsilon_greedy_decay(step_i, cfg.decay_floor, cfg.decay_span,
-                                       cfg.decay_rate)
-            sel_state = replace(lae, epsilon=eps)
-        action = select_action(q_maps, masks, sel_state, policy_rng)
-        result = gridsim.step(ws, action)
+            continue
+        after_dead_end = False
+        eps = _exploration(cfg, lae, step_i).epsilon
 
         r_tp, rmap = _reward_for_step(cfg, action, result.primitive_success,
                                       result.progress, prev_progress, shape)
@@ -279,29 +305,16 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
             if cfg.exploration_kind == "lae":
                 lae = update_exploration(lae, loss)
 
-        records.append(StepRecord(
-            step=step_i, primitive=action.primitive.value, x=action.x,
-            y=action.y, theta_index=action.theta_index, q_value=action.q_value,
-            success=result.primitive_success, progress=result.progress,
-            r_tp=r_tp, y_target=y_target, loss=loss, epsilon=eps,
-            done=result.done,
-            done_reason=result.done_reason.value if result.done_reason else ""))
-
+        records.append(_step_record(step_i, action, result, r_tp=r_tp,
+                                    y_target=y_target, loss=loss, epsilon=eps))
         if checkpoint_cb and cfg.checkpoint_every > 0 \
                 and (step_i + 1) % cfg.checkpoint_every == 0:
             checkpoint_cb(step_i + 1, net)
-
         if result.done:
             episodes.append(EpisodeSummary(step_i, ws.step_count,
                                            result.done_reason.value,
                                            result.progress))
-            episode += 1
-            ws, obs, ctx, prev_progress = _start_episode(
-                cfg.task, derive_seed(cfg.seed, _STREAM_EPISODE, episode))
-        else:
-            obs = result.next_observation
-            ctx = PrevActionContext.from_action(action, *shape)
-            prev_progress = result.progress
+        step_i += 1
 
     success_curve, efficiency_curve = _learning_curves(cfg, records, episodes)
     return TrainReport(records=records, episodes=episodes,
@@ -335,50 +348,39 @@ def evaluate(net: QNetwork, cfg: RunConfig) -> Metrics:
     before a fail streak or the step budget ends the episode.
     """
     cfg.validate()
-    shape = (cfg.task.height, cfg.task.width)
-    allowed = cfg.task.allowed_primitives
-    runs = []
-    for run_i in range(cfg.eval_runs):
-        seed = derive_seed(cfg.seed, _STREAM_EVAL, run_i)
-        ws, obs, ctx, _ = _start_episode(cfg.task, seed)
-        picks_attempted = picks_succeeded = tallest_picks = 0
-        reason = "no_valid_action"
-        records = []
-        while True:
-            masks = _masks(ws, allowed)
-            try:
-                action = greedy_action(
-                    forward_all(net, obs, ctx, _actable(masks)), masks)
-            except NoValidActionError:
-                break
-            if action.primitive is Primitive.PICK:
-                picks_attempted += 1
-                target_height = len(ws.stack_at(action.x, action.y))
-                max_height = ws.max_stack_height()
-                if target_height == max_height and max_height >= 2:
-                    tallest_picks += 1
-            result = gridsim.step(ws, action)
-            if action.primitive is Primitive.PICK and result.primitive_success:
-                picks_succeeded += 1
-            records.append(StepRecord(
-                step=ws.step_count - 1, primitive=action.primitive.value,
-                x=action.x, y=action.y, theta_index=action.theta_index,
-                q_value=action.q_value, success=result.primitive_success,
-                progress=result.progress, r_tp=0.0, y_target=None, loss=None,
-                epsilon=0.0, done=result.done,
-                done_reason=result.done_reason.value if result.done_reason else ""))
-            if result.done:
-                reason = result.done_reason.value
-                break
-            obs = result.next_observation
-            ctx = PrevActionContext.from_action(action, *shape)
-        runs.append(EvalRun(seed=seed,
+    seeds = [derive_seed(cfg.seed, _STREAM_EVAL, run_i)
+             for run_i in range(cfg.eval_runs)]
+    tallest = []    # per pick of the current run: at the tallest (2+) stack?
+
+    def choose(ws, q_maps, masks):
+        try:
+            action = greedy_action(q_maps, masks)
+        except NoValidActionError:
+            return None
+        if action.primitive is Primitive.PICK:
+            max_height = ws.max_stack_height()
+            tallest.append(len(ws.stack_at(action.x, action.y)) == max_height
+                           and max_height >= 2)
+        return action
+
+    runs, records = [], []
+    for ws, _, _, _, action, result in _play(net, cfg.task, seeds, choose):
+        if action is not None:
+            records.append(_step_record(ws.step_count - 1, action, result))
+            if not result.done:
+                continue
+        reason = ("no_valid_action" if action is None
+                  else result.done_reason.value)
+        picks = [r.success for r in records
+                 if r.primitive == Primitive.PICK.value]
+        runs.append(EvalRun(seed=ws.rng_seed,
                             completed=reason == DoneReason.GOAL.value,
                             done_reason=reason, actions=ws.step_count,
-                            picks_attempted=picks_attempted,
-                            picks_succeeded=picks_succeeded,
-                            tallest_stack_picks=tallest_picks,
-                            records=records))
+                            picks_attempted=len(picks),
+                            picks_succeeded=sum(picks),
+                            tallest_stack_picks=sum(tallest), records=records))
+        records = []
+        tallest.clear()
 
     completed = [r for r in runs if r.completed]
     completion_rate = len(completed) / len(runs)

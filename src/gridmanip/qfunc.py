@@ -383,13 +383,41 @@ class TrainHyper:
     loss_scale: float = 1.0
 
 
+def transition_loss(net: QNetwork, tr, hp: TrainHyper):
+    """Robust per-pixel losses of one finalized transition, and what
+    ``transition_backward`` needs to differentiate their mean.
+
+    Supervision covers only the executed primitive's map at the executed
+    rotation, on the reward map's supervised pixels.
+    """
+    x = stack_input(tr.observation, tr.prev_action_context)
+    pred, cache, theta = forward_rotation(net, x, tr.observation.shape,
+                                          tr.action.primitive,
+                                          tr.action.theta_index)
+    y = compute_target(tr.r_t, tr.r_next, hp.gamma)
+    targets = build_target_map(tr.reward_map, tr.action, y)
+    mask = tr.reward_map.supervised_mask
+    residuals = pred[mask] - targets[mask]
+    losses, dresiduals = robust_loss(residuals, hp.loss_alpha, hp.loss_scale)
+    return losses, (pred, cache, theta, mask, dresiduals)
+
+
+def transition_backward(net: QNetwork, tr, saved, grads, batch_size=1):
+    """Accumulate the gradient of the transition's mean loss, divided by
+    ``batch_size``, into ``grads`` for the executed primitive's stack."""
+    pred, cache, theta, mask, dresiduals = saved
+    dpred = np.zeros_like(pred)
+    dpred[mask] = dresiduals / (dresiduals.size * batch_size)
+    net.stacks[tr.action.primitive].backward(
+        cache, rotate_grid_grad(dpred, theta), grads)
+
+
 def train_step(net: QNetwork, batch, hp: TrainHyper):
     """One SGD step over a batch of finalized transitions.
 
-    Supervision covers only the executed primitive's map at the executed
-    rotation, on the reward map's supervised pixels; the other primitive
-    networks receive no gradient and are left untouched (including their
-    momentum state). Returns (mean batch loss, per-transition losses).
+    Only the executed primitive's network receives gradient (see
+    ``transition_loss``); the others are left untouched, including their
+    momentum state. Returns (mean batch loss, per-transition losses).
     """
     if not batch:
         raise ValueError("batch must be nonempty")
@@ -401,22 +429,13 @@ def train_step(net: QNetwork, batch, hp: TrainHyper):
     # Each item's backward runs right after its forward, while its patch
     # matrices are still in cache (measured faster than batching the loss).
     for i, tr in enumerate(batch):
-        x = stack_input(tr.observation, tr.prev_action_context)
-        pred, cache, theta = forward_rotation(net, x, tr.observation.shape,
-                                              tr.action.primitive,
-                                              tr.action.theta_index)
-        y = compute_target(tr.r_t, tr.r_next, hp.gamma)
-        targets = build_target_map(tr.reward_map, tr.action, y)
-        mask = tr.reward_map.supervised_mask
-        residuals = pred[mask] - targets[mask]
-        losses, dresiduals = robust_loss(residuals, hp.loss_alpha, hp.loss_scale)
+        # Rebinding `saved` frees the previous item's forward cache before
+        # this item's backward allocates. Holding it through the backward
+        # makes glibc trim and refault the heap on 14x14 grids.
+        losses, saved = transition_loss(net, tr, hp)
         # The mean as np.mean computes it: pairwise sum, then one division.
-        per_losses[i] = losses.sum() / residuals.size
-        dpred = np.zeros_like(pred)
-        dpred[mask] = dresiduals / (residuals.size * n)
-        dq = rotate_grid_grad(dpred, theta)
-        net.stacks[tr.action.primitive].backward(cache, dq,
-                                                 grads[tr.action.primitive])
+        per_losses[i] = losses.sum() / losses.size
+        transition_backward(net, tr, saved, grads[tr.action.primitive], n)
         touched.add(tr.action.primitive)
 
     mean_loss = float(np.mean(per_losses))

@@ -6,18 +6,16 @@ order). The newest transition stays pending, and unsampleable, until the
 following step's reward arrives to complete its bootstrap target.
 
 The buffer owns every priority: they live in one preallocated float64 array
-kept in insertion order beside the list of transitions, and a transition
-only reads its own back. Eviction is oldest-first, so held insert indices
-are contiguous and a transition's slot is its insert index minus the
-oldest one's. Per call, with N items held and k drawn: ``sampleable_count``
+kept in insertion order beside the list of transitions, which stay plain
+data. Eviction is oldest-first, so held insert indices are contiguous and a
+transition's slot is its insert index minus the oldest one's. Per call, with N items held and k drawn: ``sampleable_count``
 and ``finalize_pending`` are O(1); ``push`` is one array max plus, once
 full, one array shift; ``update_priorities`` is O(k); ``sample`` and
 ``probabilities`` are one stable argsort of the priorities plus, for
 ``sample``, k cumulative sums. None of them walks the transitions in Python.
 """
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,21 +39,10 @@ class Transition:
     reward_map: object
     r_next: float | None = None     # pending until the next step finalizes it
     insert_index: int = -1
-    # Weak, so a dropped buffer and its transitions are freed by reference
-    # counting rather than waiting for the cycle collector.
-    _owner: "weakref.ref[ReplayBuffer] | None" = field(
-        default=None, init=False, repr=False, compare=False)
 
     @property
     def pending(self):
         return self.r_next is None
-
-    @property
-    def priority(self):
-        """Read-only view of the priority the holding buffer assigns; None
-        before the transition is pushed and after it is evicted."""
-        owner = self._owner() if self._owner is not None else None
-        return None if owner is None else owner._priority_of(self.insert_index)
 
 
 class ReplayBuffer:
@@ -74,7 +61,6 @@ class ReplayBuffer:
         self._priorities = np.empty(capacity)     # [i] belongs to _items[i]
         self._rank_law = (1.0 / np.arange(1, capacity + 1)) ** rank_exponent
         self._next_index = 0
-        self._weak_self = weakref.ref(self)
 
     def __len__(self):
         return len(self._items)
@@ -100,10 +86,6 @@ class ReplayBuffer:
         slot = insert_index - (self._next_index - len(self._items))
         return slot if 0 <= slot < len(self._items) else None
 
-    def _priority_of(self, insert_index):
-        slot = self._slot(insert_index)
-        return None if slot is None else float(self._priorities[slot])
-
     def push(self, transition: Transition):
         """Store with priority equal to the current maximum (1.0 if empty)."""
         if self.has_pending:
@@ -115,7 +97,6 @@ class ReplayBuffer:
             self._priorities[:-1] = self._priorities[1:]
             n -= 1
         transition.insert_index = self._next_index
-        transition._owner = self._weak_self
         self._next_index += 1
         self._items.append(transition)
         self._priorities[n] = priority

@@ -12,8 +12,7 @@ import numpy as np
 
 from .gridsim import Action, Observation, PRIMITIVE_ORDER
 from .qfunc import (PrevActionContext, QNetwork, TrainHyper, _PARAM_NAMES,
-                    build_target_map, compute_target, forward_rotation,
-                    robust_loss, rotate_grid_grad, stack_input)
+                    transition_backward, transition_loss)
 from .replay import Transition
 from .reward import RewardMap, RewardParams, convolve_same, gaussian_kernel
 
@@ -72,36 +71,17 @@ def _transition_loss(net, transition, hp):
     activation kink, where central differences are invalid but the analytic
     gradient is exact.
     """
-    x = stack_input(transition.observation, transition.prev_action_context)
-    pred, cache, _ = forward_rotation(net, x, transition.observation.shape,
-                                      transition.action.primitive,
-                                      transition.action.theta_index)
-    y = compute_target(transition.r_t, transition.r_next, hp.gamma)
-    targets = build_target_map(transition.reward_map, transition.action, y)
-    mask = transition.reward_map.supervised_mask
-    losses, _ = robust_loss(pred[mask] - targets[mask], hp.loss_alpha,
-                            hp.loss_scale)
-    z1, z2 = cache[0], cache[2]
+    losses, saved = transition_loss(net, transition, hp)
+    z1, z2 = saved[1][0], saved[1][2]
     pattern = np.concatenate([(z1 > 0.0).ravel(), (z2 > 0.0).ravel()])
     return float(np.mean(losses)), pattern
 
 
 def _transition_gradients(net, transition, hp):
     """Analytic dLoss/dparams for one transition (no update applied)."""
-    x = stack_input(transition.observation, transition.prev_action_context)
-    pred, cache, theta = forward_rotation(net, x, transition.observation.shape,
-                                          transition.action.primitive,
-                                          transition.action.theta_index)
-    y = compute_target(transition.r_t, transition.r_next, hp.gamma)
-    targets = build_target_map(transition.reward_map, transition.action, y)
-    mask = transition.reward_map.supervised_mask
-    residuals = pred[mask] - targets[mask]
-    _, dres = robust_loss(residuals, hp.loss_alpha, hp.loss_scale)
-    dpred = np.zeros_like(pred)
-    dpred[mask] = dres / residuals.size
+    _, saved = transition_loss(net, transition, hp)
     grads = {}
-    net.stacks[transition.action.primitive].backward(
-        cache, rotate_grid_grad(dpred, theta), grads)
+    transition_backward(net, transition, saved, grads)
     return grads
 
 

@@ -207,6 +207,7 @@ class TestTrainCommand:
         ("task.push_distance=0", "task.push_distance"),
         ("policy.decay_rate=1.5", "policy.decay_rate"),
         ("policy.decay_floor=0.9", "policy.decay_floor"),
+        ("run.checkpoint_every=-5", "run.checkpoint_every"),
     ])
     def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                  capsys, override, named):

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from gridmanip import harness
 from gridmanip.gridsim import Primitive, TaskConfig, TaskKind
-from gridmanip.harness import (ABLATION_VARIANTS, RunConfig, derive_seed,
-                               evaluate, ideal_actions, run_ablation, train,
-                               variant_config)
+from gridmanip.harness import (ABLATION_VARIANTS, EpisodeSummary, RunConfig,
+                               derive_seed, evaluate, ideal_actions,
+                               run_ablation, train, variant_config)
 from gridmanip.policy import NoValidActionError
 from gridmanip.qfunc import QNetwork, TrainHyper
 
@@ -29,6 +30,17 @@ def clutter_config(**kw):
                       allowed_primitives=(Primitive.PUSH, Primitive.PICK))
     defaults = dict(task=task, train_steps=40, eval_runs=5, seed=1,
                     checkpoint_every=0)
+    defaults.update(kw)
+    return RunConfig(**defaults)
+
+
+def dead_end_config(**kw):
+    """One block on a 4x1 strip, push only, one rotation: every episode is
+    push x0->x2, push x2->x3, and then no valid action is left."""
+    task = TaskConfig(kind=TaskKind.SCRIPTED_ARRANGEMENT, n_blocks=0,
+                      width=4, height=1, rotations=1, layout="1...",
+                      allowed_primitives=(Primitive.PUSH,))
+    defaults = dict(task=task, seed=0, checkpoint_every=0)
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -126,12 +138,28 @@ class TestTrain:
         report = train(cfg)
         assert set(round(r.r_tp, 6) for r in report.records) <= {0.0, 1.0}
 
+    def test_report_survives_pickle_round_trip(self):
+        report = train(small_config(train_steps=30))
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy.records == report.records
+        assert copy.replay_buffer.dump_records() == \
+            report.replay_buffer.dump_records()
+        assert net_digest(copy.net) == net_digest(report.net)
+
     def test_unplayable_task_raises(self):
         task = TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=3,
                           goal_stack_height=2, width=6, height=6,
                           allowed_primitives=(Primitive.PLACE,))
         with pytest.raises(NoValidActionError):
             train(small_config(task=task, train_steps=5))
+
+    def test_mid_episode_dead_end_drops_the_episode(self):
+        cfg = dead_end_config(train_steps=7)
+        report = train(cfg)
+        assert [r.x for r in report.records] == [0, 2, 0, 2, 0, 2, 0]
+        assert [r.step for r in report.records] == list(range(7))
+        assert report.episodes == [
+            EpisodeSummary(end, 2, "no_valid_action", 0.0) for end in (2, 4, 6)]
 
     @pytest.mark.parametrize("bad", [
         dict(replay_capacity=4),
@@ -155,6 +183,7 @@ class TestTrain:
                              push_distance=0)),
         dict(decay_rate=1.5),
         dict(decay_floor=0.9),
+        dict(checkpoint_every=-5),
     ])
     def test_out_of_range_run_config_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -217,6 +246,25 @@ class TestEvaluate:
         task = TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=10,
                           goal_stack_height=4)
         assert ideal_actions(task) / 8 == pytest.approx(0.75)
+
+    def test_dead_end_ends_the_run(self):
+        cfg = dead_end_config(eval_runs=3)
+        metrics = evaluate(harness._fresh_network(cfg), cfg)
+        assert [(r.done_reason, r.actions, len(r.records))
+                for r in metrics.runs] == [("no_valid_action", 2, 2)] * 3
+        assert [rec.x for rec in metrics.runs[0].records] == [0, 2]
+        assert metrics.completion_rate == 0.0
+
+    def test_nan_network_ends_every_run_without_action(self):
+        # NaN Q maps leave greedy selection nothing to pick, although the
+        # masks offer valid poses.
+        cfg = small_config(eval_runs=2)
+        net = harness._fresh_network(cfg)
+        for stack in net.stacks.values():
+            stack.b3[:] = np.nan
+        metrics = evaluate(net, cfg)
+        assert [(r.done_reason, r.actions, r.records) for r in metrics.runs] \
+            == [("no_valid_action", 0, [])] * 2
 
     def test_run_traces_present(self):
         cfg = small_config(eval_runs=2)

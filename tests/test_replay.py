@@ -30,14 +30,13 @@ class TestPushFinalize:
         buf = ReplayBuffer()
         t = make_transition(r_next=None)
         buf.push(t)
-        assert t.priority == 1.0
+        assert buf._priorities[:len(buf)].tolist() == [1.0]
         assert buf.has_pending
 
     def test_new_item_gets_max_priority(self):
         buf = filled_buffer([0.2, 3.0, 1.1])
-        t = make_transition()
-        buf.push(t)
-        assert t.priority == 3.0
+        buf.push(make_transition())
+        assert buf.dump_records()[-1]["priority"] == 3.0
 
     def test_eviction_oldest_first(self):
         buf = ReplayBuffer(capacity=3)
@@ -52,8 +51,8 @@ class TestPushFinalize:
             ReplayBuffer(capacity=0)
 
     def test_dropped_buffer_freed_by_refcount(self):
-        # Transitions link back to their buffer; the link must not form a
-        # cycle, or every finished run's buffer waits for the collector.
+        # Transitions must not link back to their buffer in a cycle, or
+        # every finished run's buffer waits for the collector.
         buf = ReplayBuffer(capacity=2)
         kept = make_transition()
         buf.push(kept)
@@ -64,7 +63,6 @@ class TestPushFinalize:
             assert ref() is None
         finally:
             gc.enable()
-        assert kept.priority is None
 
     def test_push_with_pending_rejected(self):
         buf = ReplayBuffer()
@@ -158,13 +156,13 @@ class TestPriorities:
         buf = filled_buffer([1.0, 1.0])
         ids = [t.insert_index for t in buf._items]
         buf.update_priorities(ids, [0.0, 2.0])
-        assert buf._items[0].priority == PRIORITY_FLOOR
-        assert buf._items[1].priority == 2.0 + PRIORITY_FLOOR
+        assert buf._priorities[:len(buf)].tolist() == [
+            PRIORITY_FLOOR, 2.0 + PRIORITY_FLOOR]
 
     def test_negative_loss_absolute_value(self):
         buf = filled_buffer([1.0])
         buf.update_priorities([buf._items[0].insert_index], [-3.0])
-        assert buf._items[0].priority == pytest.approx(3.0 + PRIORITY_FLOOR)
+        assert buf._priorities[0] == pytest.approx(3.0 + PRIORITY_FLOOR)
 
     def test_stale_index_skipped(self):
         buf = ReplayBuffer(capacity=2)
@@ -174,14 +172,14 @@ class TestPriorities:
         buf.push(make_transition())
         buf.push(make_transition())              # evicts first
         buf.update_priorities([stale_id], [9.0])
-        assert all(t.priority != 9.0 + PRIORITY_FLOOR for t in buf._items)
+        assert 9.0 + PRIORITY_FLOOR not in buf._priorities[:len(buf)]
 
     def test_untouched_priorities_unchanged(self):
         buf = filled_buffer([4.0, 2.0, 1.0])
         target = buf._items[1]
         buf.update_priorities([target.insert_index], [0.5])
-        assert buf._items[0].priority == 4.0
-        assert buf._items[2].priority == 1.0
+        assert buf._priorities[0] == 4.0
+        assert buf._priorities[2] == 1.0
 
     def test_larger_loss_weakly_higher_rank(self):
         buf = filled_buffer([1.0, 1.0, 1.0], omega=1.0)
@@ -394,6 +392,6 @@ class TestListOracleEquivalence:
             assert new.sampleable_count() == ref.sampleable_count()
             assert new.probabilities().tobytes() == ref.probabilities().tobytes()
             assert new.dump_records() == ref.dump_records()
-            assert [t.priority for t in new._items] == \
+            assert new._priorities[:len(new)].tolist() == \
                 [t.priority for t in ref._items]
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
