@@ -9,9 +9,12 @@ Runs, in a temporary directory and from the ``src/`` of this checkout:
 eval`` on the checkpoint it wrote, and ``gridmanip ablate`` with
 ``run.train_steps=60 run.eval_runs=3``. Two more train/eval pairs cover the
 other branches of the episode loop: push/pick clutter removal (60 steps, 3
-runs) and a scripted 4x1 push-only layout whose every episode ends in a dead
-end with no valid action (40 steps, 3 runs). It then prints the sha256 of
-every output file. BLAS is pinned to one thread.
+runs), a scripted 4x1 push-only layout whose every episode ends in a dead
+end with no valid action (40 steps, 3 runs), 6x6 stacking to height 3 with
+push, pick and place, which pushes whole stacks (120 steps, 3 runs), and a
+scripted 6x1 layout of tall stacks for push and pick with two rotations,
+whose ``n_blocks`` comes from the layout (60 steps, 3 runs). It then prints
+the sha256 of every output file. BLAS is pinned to one thread.
 
 The reference (``scripts/fingerprint_ref.json``) is keyed by the numpy
 version, the BLAS name and version and the machine type, because GEMM bits
@@ -56,6 +59,13 @@ EXTRA_RUNS = [
      ["task.kind=scripted_arrangement", "task.width=4", "task.height=1",
       "task.n_blocks=0", "task.allowed_primitives=push", "task.rotations=1",
       "task.layout=1..."]),
+    ("stack3", 120, 3,
+     ["task.width=6", "task.height=6", "task.goal_stack_height=3",
+      "task.allowed_primitives=push,pick,place"]),
+    ("scripted", 60, 3,
+     ["task.kind=scripted_arrangement", "task.width=6", "task.height=1",
+      "task.n_blocks=0", "task.allowed_primitives=push,pick",
+      "task.rotations=2", "task.layout=2..3.1"]),
 ]
 
 

@@ -3,7 +3,7 @@
 Subcommands: train, eval, ablate, inspect, selftest. Every run echoes its
 effective configuration (file plus overrides) into the output directory, so
 a run is re-launchable from its echo alone. Exit codes: 0 success, 1
-configuration error, 2 runtime failure.
+configuration error or bad checkpoint file, 2 runtime failure.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from . import config as config_mod
 from . import gridsim, harness, qfunc, selftest
 from .config import ConfigError
 from .gridsim import Primitive
-from .qfunc import PrevActionContext, TrainingDivergence
+from .qfunc import CheckpointError, PrevActionContext, TrainingDivergence
 
 
 def _fmt(value):
@@ -291,7 +291,7 @@ def main(argv=None):
         return 1
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, CheckpointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1

@@ -161,17 +161,19 @@ def build_run_config(values: dict) -> RunConfig:
     exploration_kind = policy.pop("kind")
     decay = {k: policy.pop(k) for k in ("decay_floor", "decay_span", "decay_rate")}
     sizes = {k: network.pop(k) for k in ("hidden_channels", "batch_size")}
-    cfg = RunConfig(
-        task=TaskConfig(**typed["task"]),
-        reward=RewardParams(weights=weights, **reward),
-        exploration=ExplorationState(epsilon=policy["epsilon_init"], **policy),
-        hyper=TrainHyper(**network),
-        reward_kind=reward_kind,
-        exploration_kind=exploration_kind,
-        replay_capacity=typed["replay"]["capacity"],
-        rank_exponent=typed["replay"]["rank_exponent"],
-        **decay, **sizes, **typed["run"])
     try:
+        # TaskConfig parses a scripted layout, so a bad one fails here.
+        cfg = RunConfig(
+            task=TaskConfig(**typed["task"]),
+            reward=RewardParams(weights=weights, **reward),
+            exploration=ExplorationState(epsilon=policy["epsilon_init"],
+                                         **policy),
+            hyper=TrainHyper(**network),
+            reward_kind=reward_kind,
+            exploration_kind=exploration_kind,
+            replay_capacity=typed["replay"]["capacity"],
+            rank_exponent=typed["replay"]["rank_exponent"],
+            **decay, **sizes, **typed["run"])
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

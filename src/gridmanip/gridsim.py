@@ -1,8 +1,9 @@
 """Deterministic 2D grid manipulation environment.
 
-Blocks are unit cubes living on a width x height cell grid. A cell holds a
-stack of block ids (bottom to top). Three scripted primitives act on the
-grid: push slides a whole stack, pick lifts the top block into the gripper,
+Blocks are unit cubes living on a width x height cell grid. The workspace
+is the number of blocks stacked on each cell, whether the gripper holds a
+block, and how many blocks have left the scene. Three scripted primitives
+act on the grid: push slides a whole stack, pick lifts the top block into the gripper,
 place deposits the held block. All dynamics are deterministic; randomness
 enters only through the seeded initial placement.
 """
@@ -69,14 +70,39 @@ class TaskConfig:
     fail_limit: int = DEFAULT_FAIL_LIMIT
     rotations: int = 4
     layout: str = ""            # scripted arrangements: digit grid, one char per cell
+    # A scripted layout parsed once, when the task is built; its block count
+    # fills n_blocks when that is 0.
+    layout_heights: np.ndarray | None = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.allowed_primitives, (list, set)):
             self.allowed_primitives = tuple(
                 p for p in PRIMITIVE_ORDER if p in self.allowed_primitives
             )
+        if self.kind is TaskKind.SCRIPTED_ARRANGEMENT and self.layout.strip():
+            self.layout_heights = _parse_layout(self.layout, self.width,
+                                                self.height)
+            total = int(self.layout_heights.sum())
+            if total == 0:
+                raise ConfigurationError("scripted layout places no blocks")
+            if self.n_blocks not in (0, total):
+                raise ConfigurationError(
+                    f"layout places {total} blocks but n_blocks={self.n_blocks}"
+                )
+            self.n_blocks = total
         if self.max_steps <= 0:
             self.max_steps = 8 * self.n_blocks
+
+    @property
+    def height_norm(self):
+        """The stack height that the observation's height channel maps to 1:
+        the goal height when stacking, else the tallest initial stack."""
+        if self.kind is TaskKind.BLOCK_STACKING:
+            return self.goal_stack_height
+        if self.layout_heights is not None:
+            return max(1, int(self.layout_heights.max()))
+        return 1
 
     def validate(self):
         if not self.allowed_primitives:
@@ -93,7 +119,8 @@ class TaskConfig:
                 )
         if self.kind is TaskKind.SCRIPTED_ARRANGEMENT and not self.layout.strip():
             raise ConfigurationError("scripted arrangement requires a layout grid")
-        if self.n_blocks > self.width * self.height:
+        if self.kind is not TaskKind.SCRIPTED_ARRANGEMENT and \
+                self.n_blocks > self.width * self.height:
             raise ConfigurationError(
                 f"grid {self.width}x{self.height} too small for {self.n_blocks} blocks"
             )
@@ -101,32 +128,13 @@ class TaskConfig:
 
 @dataclass
 class Workspace:
-    width: int
-    height: int
-    stacks: list                 # stacks[y][x] = list of block ids, bottom -> top
+    heights: np.ndarray          # (task.height, task.width) ints: blocks per cell
     task: TaskConfig
     rng_seed: int
-    gripper: int | None = None
+    holding: bool = False        # the gripper holds a block (stacking tasks)
+    removed: int = 0             # blocks picked out of the scene (removal tasks)
     step_count: int = 0
     failure_streak: int = 0
-    removed: list = field(default_factory=list)
-    height_norm: int = 1
-
-    def stack_at(self, x, y):
-        return self.stacks[y][x]
-
-    def height_grid(self):
-        return np.array([[len(stack) for stack in row] for row in self.stacks],
-                        dtype=np.float64)
-
-    def max_stack_height(self):
-        return max((len(self.stacks[y][x])
-                    for y in range(self.height) for x in range(self.width)),
-                   default=0)
-
-    def blocks_on_grid(self):
-        return sum(len(self.stacks[y][x])
-                   for y in range(self.height) for x in range(self.width))
 
 
 @dataclass(frozen=True)
@@ -179,46 +187,20 @@ def _parse_layout(layout, width, height):
 
 
 def reset(task: TaskConfig, seed: int):
-    """Build a fresh workspace: n_blocks dropped on distinct random cells.
+    """Build a fresh workspace: the scripted layout, or n_blocks dropped on
+    distinct random cells.
 
     Identical (task, seed) pairs produce identical workspaces.
     """
     task.validate()
-    rng = np.random.default_rng(seed)
-    stacks = [[[] for _ in range(task.width)] for _ in range(task.height)]
-
     if task.kind is TaskKind.SCRIPTED_ARRANGEMENT:
-        heights = _parse_layout(task.layout, task.width, task.height)
-        total = int(heights.sum())
-        if total == 0:
-            raise ConfigurationError("scripted layout places no blocks")
-        if task.n_blocks not in (0, total):
-            raise ConfigurationError(
-                f"layout places {total} blocks but n_blocks={task.n_blocks}"
-            )
-        task.n_blocks = total
-        if task.max_steps <= 0:
-            task.max_steps = 8 * total
-        next_id = 0
-        for y in range(task.height):
-            for x in range(task.width):
-                for _ in range(heights[y, x]):
-                    stacks[y][x].append(next_id)
-                    next_id += 1
+        heights = task.layout_heights.copy()
     else:
-        cells = rng.choice(task.width * task.height, size=task.n_blocks, replace=False)
-        for block_id, cell in enumerate(cells):
-            stacks[int(cell) // task.width][int(cell) % task.width].append(block_id)
-
-    if task.kind is TaskKind.BLOCK_STACKING:
-        height_norm = task.goal_stack_height
-    else:
-        height_norm = max(1, max(len(stacks[y][x])
-                                 for y in range(task.height)
-                                 for x in range(task.width)))
-
-    ws = Workspace(width=task.width, height=task.height, stacks=stacks,
-                   task=task, rng_seed=seed, height_norm=height_norm)
+        heights = np.zeros((task.height, task.width), dtype=int)
+        rng = np.random.default_rng(seed)
+        heights.flat[rng.choice(task.width * task.height, size=task.n_blocks,
+                                replace=False)] = 1
+    ws = Workspace(heights=heights, task=task, rng_seed=seed)
     return ws, render_observation(ws)
 
 
@@ -226,15 +208,15 @@ def task_progress(ws: Workspace, task: TaskConfig | None = None) -> float:
     """Overall goal progress in [0, 1]."""
     task = task or ws.task
     if task.kind is TaskKind.BLOCK_STACKING:
-        return min(1.0, ws.max_stack_height() / task.goal_stack_height)
-    return len(ws.removed) / task.n_blocks
+        return min(1.0, int(ws.heights.max()) / task.goal_stack_height)
+    return ws.removed / task.n_blocks
 
 
 def render_observation(ws: Workspace) -> Observation:
-    heights = ws.height_grid()
+    heights = ws.heights
     occupancy = (heights > 0).astype(np.float64)
-    norm_height = np.clip(heights / ws.height_norm, 0.0, 1.0)
-    holding = np.full_like(occupancy, 1.0 if ws.gripper is not None else 0.0)
+    norm_height = np.clip(heights / ws.task.height_norm, 0.0, 1.0)
+    holding = np.full_like(occupancy, 1.0 if ws.holding else 0.0)
     return Observation(channels=np.stack([occupancy, norm_height, holding]))
 
 
@@ -249,7 +231,7 @@ def _shifted(grid, dx, dy):
 
 def valid_action_mask(ws: Workspace, primitive: Primitive) -> np.ndarray:
     """Boolean (height, width) grid of poses worth attempting."""
-    occupied = ws.height_grid() > 0
+    occupied = ws.heights > 0
     if primitive is Primitive.PICK:
         return occupied
     if primitive is Primitive.PUSH:
@@ -262,7 +244,7 @@ def valid_action_mask(ws: Workspace, primitive: Primitive) -> np.ndarray:
         return occupied & reachable
     # Place: on or adjacent to an occupied cell, only while holding a block.
     mask = np.zeros_like(occupied)
-    if ws.gripper is not None:
+    if ws.holding:
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
                 mask |= _shifted(occupied, dx, dy)
@@ -270,49 +252,43 @@ def valid_action_mask(ws: Workspace, primitive: Primitive) -> np.ndarray:
 
 
 def _execute_push(ws, action):
-    stack = ws.stack_at(action.x, action.y)
-    if not stack:
+    heights, x, y = ws.heights, action.x, action.y
+    if not heights[y, x]:
         return 0
     dx, dy = push_direction(action.theta_index, ws.task.rotations)
-    cx, cy = action.x, action.y
-    moved = 0
+    h, w = heights.shape
+    cx, cy = x, y
     for _ in range(ws.task.push_distance):
         nx, ny = cx + dx, cy + dy
-        if not (0 <= nx < ws.width and 0 <= ny < ws.height):
-            break
-        if ws.stack_at(nx, ny):
+        if not (0 <= nx < w and 0 <= ny < h) or heights[ny, nx]:
             break
         cx, cy = nx, ny
-        moved += 1
-    if moved == 0:
+    if (cx, cy) == (x, y):
         return 0
-    ws.stacks[cy][cx] = stack
-    ws.stacks[action.y][action.x] = []
+    heights[cy, cx], heights[y, x] = heights[y, x], 0
     return 1
 
 
 def _execute_pick(ws, action):
-    stack = ws.stack_at(action.x, action.y)
-    if ws.gripper is not None or not stack:
+    if ws.holding or not ws.heights[action.y, action.x]:
         return 0
-    block = stack.pop()
+    ws.heights[action.y, action.x] -= 1
     if ws.task.kind is TaskKind.BLOCK_STACKING:
-        ws.gripper = block
+        ws.holding = True
     else:
         # Removal tasks: a picked block leaves the scene entirely.
-        ws.removed.append(block)
+        ws.removed += 1
     return 1
 
 
 def _execute_place(ws, action):
-    if ws.gripper is None:
+    if not ws.holding:
         return 0
-    prev_max = ws.max_stack_height()
-    stack = ws.stack_at(action.x, action.y)
-    stack.append(ws.gripper)
-    ws.gripper = None
+    prev_max = ws.heights.max()
+    ws.heights[action.y, action.x] += 1
+    ws.holding = False
     # Successful only if the new stack tops the previous global maximum.
-    return 1 if len(stack) > prev_max else 0
+    return 1 if ws.heights[action.y, action.x] > prev_max else 0
 
 
 def step(ws: Workspace, action: Action) -> StepResult:
@@ -320,7 +296,8 @@ def step(ws: Workspace, action: Action) -> StepResult:
     task = ws.task
     if action.primitive not in task.allowed_primitives:
         raise ContractViolation(f"{action.primitive} not allowed for this task")
-    if not (0 <= action.x < ws.width and 0 <= action.y < ws.height):
+    h, w = ws.heights.shape
+    if not (0 <= action.x < w and 0 <= action.y < h):
         raise ContractViolation(f"pose ({action.x},{action.y}) outside grid")
     if not (0 <= action.theta_index < task.rotations):
         raise ContractViolation(f"theta_index {action.theta_index} out of range")

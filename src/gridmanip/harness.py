@@ -358,9 +358,8 @@ def evaluate(net: QNetwork, cfg: RunConfig) -> Metrics:
         except NoValidActionError:
             return None
         if action.primitive is Primitive.PICK:
-            max_height = ws.max_stack_height()
-            tallest.append(len(ws.stack_at(action.x, action.y)) == max_height
-                           and max_height >= 2)
+            tallest.append(bool(ws.heights[action.y, action.x]
+                                == ws.heights.max() >= 2))
         return action
 
     runs, records = [], []

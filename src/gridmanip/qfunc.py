@@ -36,6 +36,10 @@ class TrainingDivergence(RuntimeError):
     """Loss or parameters became non-finite."""
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed, truncated or holds non-finite weights."""
+
+
 # ---------------------------------------------------------------------------
 # rotation
 
@@ -501,17 +505,21 @@ def meta_path(path) -> str:
 def read_checkpoint_header(path):
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        version, rotations, c_in, hidden, h, w = struct.unpack("<6I", fh.read(24))
-        digest = fh.read(32).hex()
-        (n_arrays,) = struct.unpack("<I", fh.read(4))
-        arrays = []
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            arrays.append((name, shape))
+            raise CheckpointError(f"{path} is not a checkpoint file")
+        try:
+            version, rotations, c_in, hidden, h, w = struct.unpack(
+                "<6I", fh.read(24))
+            digest = fh.read(32).hex()
+            (n_arrays,) = struct.unpack("<I", fh.read(4))
+            arrays = []
+            for _ in range(n_arrays):
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode()
+                (ndim,) = struct.unpack("<B", fh.read(1))
+                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+                arrays.append((name, shape))
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
         offset = fh.tell()
     return {"version": version, "rotations": rotations, "in_channels": c_in,
             "hidden_channels": hidden, "grid_height": h, "grid_width": w,
@@ -519,17 +527,35 @@ def read_checkpoint_header(path):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint back, rejecting another version, other arrays,
+    missing or trailing data, and non-finite weights with CheckpointError."""
     header = read_checkpoint_header(path)
+    if header["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: version {header['version']}, "
+                              f"expected {CHECKPOINT_VERSION}")
+    names = [name for name, _ in header["arrays"]]
+    expected = [f"{prim.value}.{pname}" for prim in PRIMITIVE_ORDER
+                for pname in _PARAM_NAMES]
+    if names != expected:
+        raise CheckpointError(f"{path}: arrays {', '.join(names)}, expected "
+                              f"{', '.join(expected)}")
+    counts = [math.prod(shape) for _, shape in header["arrays"]]
+    with open(path, "rb") as fh:
+        fh.seek(header["data_offset"])
+        data = fh.read()
+    if len(data) != 8 * sum(counts):
+        raise CheckpointError(f"{path}: {len(data)} bytes of array data, "
+                              f"the header declares {8 * sum(counts)}")
     net = QNetwork(stacks={}, in_channels=header["in_channels"],
                    hidden_channels=header["hidden_channels"],
                    rotations=header["rotations"])
-    raw = {}
-    with open(path, "rb") as fh:
-        fh.seek(header["data_offset"])
-        for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-            raw[name] = data.reshape(shape).astype(np.float64)
+    raw, offset = {}, 0
+    for (name, shape), count in zip(header["arrays"], counts):
+        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name} is not finite")
+        raw[name] = arr.reshape(shape).astype(np.float64)
+        offset += 8 * count
     for prim in PRIMITIVE_ORDER:
         kwargs = {pname: raw[f"{prim.value}.{pname}"] for pname in _PARAM_NAMES}
         net.stacks[prim] = ConvStack(**kwargs)

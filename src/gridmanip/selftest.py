@@ -1,9 +1,9 @@
 """Numerical self-checks: analytic gradients vs central finite differences,
-and the sliding-window convolution vs brute-force double-loop summation.
+and the TPG reward map vs a brute-force convolution of its spike.
 
 Both suites are deliberately independent re-derivations: the finite
 difference probe only ever calls the forward path, and the reference
-convolution below shares no code with reward.convolve_same.
+convolution below shares no code with reward.tpg_reward_map.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from .gridsim import Action, Observation, PRIMITIVE_ORDER
 from .qfunc import (PrevActionContext, QNetwork, TrainHyper, _PARAM_NAMES,
                     transition_backward, transition_loss)
 from .replay import Transition
-from .reward import RewardMap, RewardParams, convolve_same, gaussian_kernel
+from .reward import RewardMap, RewardParams, gaussian_kernel, tpg_reward_map
 
 
 @dataclass
@@ -46,21 +46,26 @@ def brute_force_convolve(grid, kernel):
 
 def convolution_check(n_grids=200, max_size=32, seed=20240501,
                       tolerance=1e-12) -> CheckReport:
-    """Random grids and anisotropic kernels: implementation vs brute force."""
+    """Random shapes, poses, angles and sigmas: the reward map training uses,
+    tpg_reward_map, vs max(spike, brute-force spike * Gaussian kernel)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_grids):
         h = int(rng.integers(1, max_size + 1))
         w = int(rng.integers(1, max_size + 1))
-        grid = rng.normal(size=(h, w))
+        x, y = int(rng.integers(w)), int(rng.integers(h))
+        theta = float(rng.uniform(0, 2 * np.pi))
+        r_tp = float(rng.uniform(0.0, 2.0))
         params = RewardParams(sigma_y=float(rng.uniform(0.5, 1.5)),
                               anisotropy=float(rng.uniform(1.0, 2.5)))
-        kernel = gaussian_kernel(float(rng.uniform(0, 2 * np.pi)), params)
-        diff = np.max(np.abs(convolve_same(grid, kernel)
-                             - brute_force_convolve(grid, kernel)))
-        worst = max(worst, float(diff))
+        spike = np.zeros((h, w))
+        spike[y, x] = r_tp
+        expected = np.maximum(spike, brute_force_convolve(
+            spike, gaussian_kernel(theta, params)))
+        found = tpg_reward_map(r_tp, (x, y, theta), params, (h, w)).grid
+        worst = max(worst, float(np.max(np.abs(found - expected))))
     return CheckReport(name="convolution", passed=worst < tolerance, worst=worst,
-                       detail=f"max |sliding - brute| = {worst:.3e} "
+                       detail=f"max |reward map - brute| = {worst:.3e} "
                               f"over {n_grids} grids (tol {tolerance:g})")
 
 

@@ -46,6 +46,11 @@ seed = 1
 """
 
 
+# Overrides that turn TINY into a scripted 4x1 arrangement, less its layout.
+SCRIPTED_4X1 = ("task.kind=scripted_arrangement task.width=4 task.height=1 "
+                "task.rotations=1 task.n_blocks=0")
+
+
 @pytest.fixture
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.ini"
@@ -208,15 +213,21 @@ class TestTrainCommand:
         ("policy.decay_rate=1.5", "policy.decay_rate"),
         ("policy.decay_floor=0.9", "policy.decay_floor"),
         ("run.checkpoint_every=-5", "run.checkpoint_every"),
+        (f"{SCRIPTED_4X1} task.layout=1x..", "layout character 'x'"),
+        (f"{SCRIPTED_4X1} task.width=5 task.layout=1...", "layout must be"),
+        (f"{SCRIPTED_4X1} task.layout=....", "layout places no blocks"),
+        (f"{SCRIPTED_4X1} task.n_blocks=3 task.layout=1...", "n_blocks=3"),
     ])
     def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                  capsys, override, named):
+        # override: one or more space-separated settings
         out = tmp_path / "x"
+        sets = [arg for kv in override.split() for arg in ("--set", kv)]
         code = main(["train", "--config", str(tiny_cfg), "--out", str(out),
-                     "--set", override])
+                     *sets])
         assert code == 1
         assert named in capsys.readouterr().err
-        assert not (out / "run.log").exists()
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -250,6 +261,29 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(clutter_cfg),
                      "--out", str(tmp_path / "x"),
                      "--checkpoint", str(ckpt)]) == 1
+
+    @pytest.mark.parametrize("damage, named", [
+        ("nan", "array pick.b3 is not finite"),
+        ("truncated", "bytes of array data"),
+        ("trailing", "bytes of array data"),
+    ])
+    def test_bad_checkpoint_exit_one_before_work(self, clutter_cfg, tmp_path,
+                                                 capsys, damage, named):
+        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        if damage == "nan":
+            net.stacks[Primitive.PICK].b3[:] = np.nan
+        ckpt = tmp_path / "bad.bin"
+        save_checkpoint(ckpt, net, (7, 7))
+        raw = ckpt.read_bytes()
+        if damage == "truncated":
+            ckpt.write_bytes(raw[:-8])
+        elif damage == "trailing":
+            ckpt.write_bytes(raw + bytes(8))
+        out = tmp_path / "x"
+        assert main(["eval", "--config", str(clutter_cfg), "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_byte_identical(self, clutter_cfg, tmp_path):
         train_out = tmp_path / "t"
@@ -299,6 +333,12 @@ class TestInspectCommand:
 
     def test_missing_checkpoint_exit_one(self, capsys):
         assert main(["inspect"]) == 1
+
+    def test_corrupt_header_exit_one(self, tmp_path, capsys):
+        ckpt = tmp_path / "cut.bin"
+        ckpt.write_bytes(b"GMQN\x01\x00")
+        assert main(["inspect", str(ckpt)]) == 1
+        assert "corrupt header" in capsys.readouterr().err
 
     def test_dump_reward_map(self, tiny_cfg, tmp_path):
         out = tmp_path / "dump"

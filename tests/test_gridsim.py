@@ -1,12 +1,12 @@
-import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from gridmanip import gridsim
-from gridmanip.gridsim import (Action, ConfigurationError, ContractViolation,
-                               DoneReason, Primitive, TaskConfig, TaskKind)
+from gridmanip.gridsim import (PRIMITIVE_ORDER, Action, ConfigurationError,
+                               ContractViolation, DoneReason, Primitive,
+                               TaskConfig, TaskKind)
 
 
 def clutter_task(n=10, width=14, height=14, **kw):
@@ -23,7 +23,7 @@ class TestReset:
     def test_clutter_occupancy_conserves_blocks(self):
         ws, obs = gridsim.reset(clutter_task(n=10), seed=7)
         assert obs.channels[0].sum() == 10
-        assert ws.blocks_on_grid() == 10
+        assert ws.heights.sum() == 10
 
     def test_same_seed_bit_identical(self):
         _, obs_a = gridsim.reset(clutter_task(n=10), seed=7)
@@ -32,9 +32,8 @@ class TestReset:
 
     def test_stacking_initial_heights_all_one(self):
         ws, _ = gridsim.reset(stacking_task(n=10, goal=4), seed=3)
-        heights = ws.height_grid()
-        assert set(np.unique(heights)) == {0.0, 1.0}
-        assert ws.max_stack_height() == 1
+        assert set(np.unique(ws.heights)) == {0, 1}
+        assert ws.heights.max() == 1
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -42,7 +41,7 @@ class TestReset:
 
     def test_gripper_empty_and_streak_zero(self):
         ws, _ = gridsim.reset(stacking_task(), seed=5)
-        assert ws.gripper is None
+        assert not ws.holding
         assert ws.failure_streak == 0
 
     def test_bad_goal_height_rejected(self):
@@ -56,11 +55,10 @@ class TestReset:
 
 
 def find_block(ws):
-    for y in range(ws.height):
-        for x in range(ws.width):
-            if ws.stack_at(x, y):
-                return x, y
-    raise AssertionError("no block on grid")
+    occupied = np.argwhere(ws.heights)
+    assert len(occupied), "no block on grid"
+    y, x = occupied[0]
+    return int(x), int(y)
 
 
 class TestPush:
@@ -69,90 +67,84 @@ class TestPush:
         x, y = find_block(ws)
         empty = next((xx, yy) for yy in range(5) for xx in range(5)
                      if (xx, yy) != (x, y))
-        before = copy.deepcopy(ws.stacks)
+        before = ws.heights.copy()
         res = gridsim.step(ws, Action(Primitive.PUSH, empty[0], empty[1], 0))
         assert res.primitive_success == 0
-        assert ws.stacks == before
+        assert np.array_equal(ws.heights, before)
 
     def test_push_slides_stack_up_to_distance(self):
         task = clutter_task(n=1, width=9, height=9)
         ws, _ = gridsim.reset(task, seed=1)
         x, y = find_block(ws)
-        ws.stacks[y][x] = []
-        ws.stacks[4][2] = [0]
+        ws.heights[y, x] = 0
+        ws.heights[4, 2] = 1
         res = gridsim.step(ws, Action(Primitive.PUSH, 2, 4, 0))  # theta 0 -> +x
         assert res.primitive_success == 1
-        assert ws.stack_at(4, 4) == [0]
-        assert ws.stack_at(2, 4) == []
+        assert ws.heights[4, 4] == 1
+        assert ws.heights[4, 2] == 0
 
     def test_push_stops_before_occupied(self):
         ws, _ = gridsim.reset(clutter_task(n=2, width=9, height=9), seed=1)
-        for yy in range(9):
-            for xx in range(9):
-                ws.stacks[yy][xx] = []
-        ws.stacks[4][2] = [0]
-        ws.stacks[4][4] = [1]
+        ws.heights[:] = 0
+        ws.heights[4, 2] = 1
+        ws.heights[4, 4] = 1
         res = gridsim.step(ws, Action(Primitive.PUSH, 2, 4, 0))
         assert res.primitive_success == 1
-        assert ws.stack_at(3, 4) == [0]
+        assert ws.heights[4, 3] == 1
 
     def test_push_against_boundary_fails(self):
         ws, _ = gridsim.reset(clutter_task(n=1, width=5, height=5), seed=1)
         x, y = find_block(ws)
-        ws.stacks[y][x] = []
-        ws.stacks[2][4] = [0]          # east edge
+        ws.heights[y, x] = 0
+        ws.heights[2, 4] = 1          # east edge
         res = gridsim.step(ws, Action(Primitive.PUSH, 4, 2, 0))
         assert res.primitive_success == 0
-        assert ws.stack_at(4, 2) == [0]
+        assert ws.heights[2, 4] == 1
 
     def test_push_moves_whole_stack(self):
         ws, _ = gridsim.reset(stacking_task(n=3, goal=2, width=7, height=7), seed=2)
-        for yy in range(7):
-            for xx in range(7):
-                ws.stacks[yy][xx] = []
-        ws.stacks[3][3] = [0, 1]
+        ws.heights[:] = 0
+        ws.heights[3, 3] = 2
         gridsim.step(ws, Action(Primitive.PUSH, 3, 3, 0))
-        assert ws.stack_at(5, 3) == [0, 1]
+        assert ws.heights[3, 5] == 2
 
 
 class TestPickPlace:
     def test_pick_from_two_stack(self):
         ws, _ = gridsim.reset(stacking_task(n=3, goal=3, width=7, height=7), seed=2)
-        for yy in range(7):
-            for xx in range(7):
-                ws.stacks[yy][xx] = []
-        ws.stacks[3][3] = [0, 1]
-        ws.stacks[1][1] = [2]
+        ws.heights[:] = 0
+        ws.heights[3, 3] = 2
+        ws.heights[1, 1] = 1
         res = gridsim.step(ws, Action(Primitive.PICK, 3, 3, 0))
         assert res.primitive_success == 1
-        assert ws.stack_at(3, 3) == [0]
-        assert ws.gripper == 1
+        assert ws.heights[3, 3] == 1
+        assert ws.holding
 
     def test_clutter_pick_removes_from_scene(self):
         ws, _ = gridsim.reset(clutter_task(n=2, width=6, height=6), seed=4)
         x, y = find_block(ws)
         res = gridsim.step(ws, Action(Primitive.PICK, x, y, 0))
         assert res.primitive_success == 1
-        assert ws.gripper is None
-        assert ws.removed and ws.blocks_on_grid() == 1
+        assert not ws.holding
+        assert ws.removed == 1 and ws.heights.sum() == 1
 
     def test_pick_with_full_gripper_is_noop(self):
         ws, _ = gridsim.reset(stacking_task(n=3, goal=2, width=7, height=7), seed=2)
         x, y = find_block(ws)
         gridsim.step(ws, Action(Primitive.PICK, x, y, 0))
-        assert ws.gripper is not None
+        assert ws.holding
         x2, y2 = find_block(ws)
-        before = copy.deepcopy(ws.stacks)
+        before = ws.heights.copy()
         res = gridsim.step(ws, Action(Primitive.PICK, x2, y2, 0))
         assert res.primitive_success == 0
-        assert ws.stacks == before
+        assert np.array_equal(ws.heights, before)
 
     def test_place_with_empty_gripper_is_noop(self):
         ws, _ = gridsim.reset(stacking_task(n=3, goal=2, width=7, height=7), seed=2)
-        before = copy.deepcopy(ws.stacks)
+        before = ws.heights.copy()
         res = gridsim.step(ws, Action(Primitive.PLACE, 0, 0, 0))
         assert res.primitive_success == 0
-        assert ws.stacks == before
+        assert np.array_equal(ws.heights, before)
 
     def test_unsuccessful_place_still_deposits(self):
         ws, _ = gridsim.reset(stacking_task(n=3, goal=3, width=7, height=7), seed=2)
@@ -160,53 +152,47 @@ class TestPickPlace:
         gridsim.step(ws, Action(Primitive.PICK, x, y, 0))
         res = gridsim.step(ws, Action(Primitive.PLACE, x, y, 0))  # back on table
         assert res.primitive_success == 0
-        assert ws.gripper is None
-        assert ws.stack_at(x, y)
+        assert not ws.holding
+        assert ws.heights[y, x]
 
     def test_place_scripted_three_action_sequence(self):
         # Derived oracle: replay pick -> place (makes a 2-stack) -> pick ->
         # place on the 2-stack; the final place tops the old maximum.
         task = stacking_task(n=4, goal=4, width=7, height=7)
         ws, _ = gridsim.reset(task, seed=9)
-        for yy in range(7):
-            for xx in range(7):
-                ws.stacks[yy][xx] = []
-        ws.stacks[2][2] = [0]
-        ws.stacks[2][4] = [1]
-        ws.stacks[5][5] = [2]
-        ws.stacks[0][0] = [3]
+        ws.heights[:] = 0
+        ws.heights[2, 2] = 1
+        ws.heights[2, 4] = 1
+        ws.heights[5, 5] = 1
+        ws.heights[0, 0] = 1
         gridsim.step(ws, Action(Primitive.PICK, 4, 2, 0))
         r2 = gridsim.step(ws, Action(Primitive.PLACE, 2, 2, 0))
-        assert r2.primitive_success == 1 and ws.stack_at(2, 2) == [0, 1]
+        assert r2.primitive_success == 1 and ws.heights[2, 2] == 2
         gridsim.step(ws, Action(Primitive.PICK, 5, 5, 0))
         r4 = gridsim.step(ws, Action(Primitive.PLACE, 2, 2, 0))
         assert r4.primitive_success == 1
-        assert ws.stack_at(2, 2) == [0, 1, 2]
+        assert ws.heights[2, 2] == 3
         assert r4.progress == pytest.approx(3 / 4)
 
     def test_place_not_exceeding_max_fails(self):
         ws, _ = gridsim.reset(stacking_task(n=4, goal=4, width=7, height=7), seed=9)
-        for yy in range(7):
-            for xx in range(7):
-                ws.stacks[yy][xx] = []
-        ws.stacks[2][2] = [0, 1]
-        ws.stacks[4][4] = [2]
-        ws.stacks[0][0] = [3]
+        ws.heights[:] = 0
+        ws.heights[2, 2] = 2
+        ws.heights[4, 4] = 1
+        ws.heights[0, 0] = 1
         gridsim.step(ws, Action(Primitive.PICK, 4, 4, 0))
         res = gridsim.step(ws, Action(Primitive.PLACE, 0, 0, 0))  # 2-high tie
         assert res.primitive_success == 0
-        assert ws.stack_at(0, 0) == [3, 2]
+        assert ws.heights[0, 0] == 2
 
 
 class TestProgressAndDone:
     def test_stacking_ratio(self):
         ws, _ = gridsim.reset(stacking_task(n=4, goal=4, width=7, height=7), seed=9)
-        for yy in range(7):
-            for xx in range(7):
-                ws.stacks[yy][xx] = []
-        ws.stacks[0][0] = [0, 1]
-        ws.stacks[3][3] = [2]
-        ws.stacks[4][4] = [3]
+        ws.heights[:] = 0
+        ws.heights[0, 0] = 2
+        ws.heights[3, 3] = 1
+        ws.heights[4, 4] = 1
         assert gridsim.task_progress(ws) == pytest.approx(0.5)
 
     def test_clutter_progress_and_goal(self):
@@ -237,7 +223,7 @@ class TestProgressAndDone:
         ws, _ = gridsim.reset(clutter_task(n=2, width=6, height=6), seed=4)
         x, y = find_block(ws)
         empty = next((xx, yy) for yy in range(6) for xx in range(6)
-                     if not ws.stack_at(xx, yy))
+                     if not ws.heights[yy, xx])
         gridsim.step(ws, Action(Primitive.PUSH, empty[0], empty[1], 0))
         assert ws.failure_streak == 1
         gridsim.step(ws, Action(Primitive.PICK, x, y, 0))
@@ -247,7 +233,7 @@ class TestProgressAndDone:
         task = clutter_task(n=2, width=6, height=6, max_steps=3, fail_limit=100)
         ws, _ = gridsim.reset(task, seed=4)
         empty = next((xx, yy) for yy in range(6) for xx in range(6)
-                     if not ws.stack_at(xx, yy))
+                     if not ws.heights[yy, xx])
         res = None
         for _ in range(3):
             res = gridsim.step(ws, Action(Primitive.PUSH, empty[0], empty[1], 3))
@@ -270,7 +256,7 @@ class TestMasksAndRendering:
     def test_empty_workspace_pick_mask_false(self):
         ws, _ = gridsim.reset(clutter_task(n=1, width=5, height=5), seed=0)
         x, y = find_block(ws)
-        ws.stacks[y][x] = []
+        ws.heights[y, x] = 0
         assert not gridsim.valid_action_mask(ws, Primitive.PICK).any()
 
     def test_place_mask_empty_when_not_holding(self):
@@ -279,42 +265,34 @@ class TestMasksAndRendering:
 
     def test_single_block_pick_mask(self):
         ws, _ = gridsim.reset(clutter_task(n=1, width=8, height=8), seed=0)
-        for yy in range(8):
-            for xx in range(8):
-                ws.stacks[yy][xx] = []
-        ws.stacks[4][3] = [0]
+        ws.heights[:] = 0
+        ws.heights[4, 3] = 1
         mask = gridsim.valid_action_mask(ws, Primitive.PICK)
         assert mask.sum() == 1 and mask[4, 3]
 
     def test_place_mask_on_or_adjacent(self):
         ws, _ = gridsim.reset(stacking_task(n=2, goal=2, width=7, height=7), seed=0)
-        for yy in range(7):
-            for xx in range(7):
-                ws.stacks[yy][xx] = []
-        ws.stacks[3][3] = [0]
-        ws.gripper = 1
+        ws.heights[:] = 0
+        ws.heights[3, 3] = 1
+        ws.holding = True
         mask = gridsim.valid_action_mask(ws, Primitive.PLACE)
         assert mask[3, 3] and mask[2, 2] and mask[4, 4]
         assert mask.sum() == 9
 
     def test_push_mask_requires_free_neighbor(self):
         ws, _ = gridsim.reset(clutter_task(n=1, width=5, height=5), seed=0)
-        for yy in range(5):
-            for xx in range(5):
-                ws.stacks[yy][xx] = []
-        ws.stacks[2][2] = [0]
+        ws.heights[:] = 0
+        ws.heights[2, 2] = 1
         assert gridsim.valid_action_mask(ws, Primitive.PUSH)[2, 2]
 
     def test_height_channel_normalization(self):
         ws, _ = gridsim.reset(stacking_task(n=4, goal=4, width=7, height=7), seed=9)
-        for yy in range(7):
-            for xx in range(7):
-                ws.stacks[yy][xx] = []
-        ws.stacks[2][2] = [0, 1, 2]
-        ws.stacks[0][0] = [3]
+        ws.heights[:] = 0
+        ws.heights[2, 2] = 3
+        ws.heights[0, 0] = 1
         obs = gridsim.render_observation(ws)
         assert obs.channels[1][2, 2] == pytest.approx(0.75)
-        assert np.array_equal(obs.channels[0], (ws.height_grid() > 0))
+        assert np.array_equal(obs.channels[0], (ws.heights > 0))
 
     def test_gripper_channel_broadcast(self):
         ws, _ = gridsim.reset(stacking_task(n=3, goal=2, width=7, height=7), seed=0)
@@ -336,12 +314,11 @@ class TestInvariantsRandomly:
             x = int(rng.integers(task.width))
             y = int(rng.integers(task.height))
             theta = int(rng.integers(task.rotations))
-            before = copy.deepcopy(ws.stacks), ws.gripper, list(ws.removed)
+            before = ws.heights.copy(), ws.holding, ws.removed
             res = gridsim.step(ws, Action(prim, x, y, theta))
             results.append((prim, before, res))
             # conservation
-            held = 1 if ws.gripper is not None else 0
-            assert ws.blocks_on_grid() + len(ws.removed) + held == task.n_blocks
+            assert ws.heights.sum() + ws.removed + ws.holding == task.n_blocks
             assert 0.0 <= res.progress <= 1.0
             if res.done:
                 assert res.done_reason is not None
@@ -366,12 +343,12 @@ class TestInvariantsRandomly:
             prim = task.allowed_primitives[int(rng.integers(3))]
             a = Action(prim, int(rng.integers(8)), int(rng.integers(8)),
                        int(rng.integers(4)))
-            before = copy.deepcopy(ws.stacks)
-            gripper_before = ws.gripper
+            before = ws.heights.copy()
+            holding_before = ws.holding
             res = gridsim.step(ws, a)
             if res.primitive_success == 0 and not (
-                    prim is Primitive.PLACE and gripper_before is not None):
-                assert ws.stacks == before
+                    prim is Primitive.PLACE and holding_before):
+                assert np.array_equal(ws.heights, before)
             if res.done:
                 break
 
@@ -404,65 +381,57 @@ class TestScripted:
                           width=5, height=5, layout=self.LAYOUT)
         ws, obs = gridsim.reset(task, seed=0)
         assert task.n_blocks == 6
-        assert ws.stack_at(2, 1) and len(ws.stack_at(2, 1)) == 2
-        assert len(ws.stack_at(3, 2)) == 3
+        assert ws.heights[1, 2] == 2
+        assert ws.heights[2, 3] == 3
         assert gridsim.task_progress(ws) == 0.0
         res = gridsim.step(ws, Action(Primitive.PICK, 3, 2, 0))
         assert res.primitive_success == 1
         assert gridsim.task_progress(ws) == pytest.approx(1 / 6)
         # removal semantics: gripper stays empty
-        assert ws.gripper is None
+        assert not ws.holding
 
     def test_layout_shape_mismatch_rejected(self):
-        task = TaskConfig(kind=TaskKind.SCRIPTED_ARRANGEMENT, n_blocks=0,
-                          width=4, height=5, layout=self.LAYOUT)
         with pytest.raises(ConfigurationError):
-            gridsim.reset(task, seed=0)
+            TaskConfig(kind=TaskKind.SCRIPTED_ARRANGEMENT, n_blocks=0,
+                       width=4, height=5, layout=self.LAYOUT)
 
     def test_height_norm_uses_max_initial_stack(self):
         task = TaskConfig(kind=TaskKind.SCRIPTED_ARRANGEMENT, n_blocks=0,
                           width=5, height=5, layout=self.LAYOUT)
         ws, obs = gridsim.reset(task, seed=0)
-        assert ws.height_norm == 3
+        assert task.height_norm == 3
         assert obs.channels[1][2, 3] == pytest.approx(1.0)
-
-
-def loop_height_grid(ws):
-    g = np.zeros((ws.height, ws.width), dtype=np.float64)
-    for y in range(ws.height):
-        for x in range(ws.width):
-            g[y, x] = len(ws.stacks[y][x])
-    return g
 
 
 def loop_valid_action_mask(ws, primitive):
     """The cell-by-cell masks that valid_action_mask's shifted slices
     replaced."""
-    occupied = loop_height_grid(ws) > 0
+    height, width = ws.heights.shape
+    occupied = ws.heights > 0
     if primitive is Primitive.PICK:
         return occupied
     if primitive is Primitive.PUSH:
         mask = np.zeros_like(occupied)
         dirs = {gridsim.push_direction(r, ws.task.rotations)
                 for r in range(ws.task.rotations)}
-        for y in range(ws.height):
-            for x in range(ws.width):
+        for y in range(height):
+            for x in range(width):
                 if not occupied[y, x]:
                     continue
                 for dx, dy in dirs:
                     nx, ny = x + dx, y + dy
-                    if 0 <= nx < ws.width and 0 <= ny < ws.height \
+                    if 0 <= nx < width and 0 <= ny < height \
                             and not occupied[ny, nx]:
                         mask[y, x] = True
                         break
         return mask
-    if ws.gripper is None:
+    if not ws.holding:
         return np.zeros_like(occupied)
     mask = np.zeros_like(occupied)
-    for y in range(ws.height):
-        for x in range(ws.width):
-            y0, y1 = max(0, y - 1), min(ws.height, y + 2)
-            x0, x1 = max(0, x - 1), min(ws.width, x + 2)
+    for y in range(height):
+        for x in range(width):
+            y0, y1 = max(0, y - 1), min(height, y + 2)
+            x0, x1 = max(0, x - 1), min(width, x + 2)
             mask[y, x] = occupied[y0:y1, x0:x1].any()
     return mask
 
@@ -478,17 +447,76 @@ class TestMaskLoopOracle:
                                                   holding, fill, seed):
         rng = np.random.default_rng(seed)
         heights = (rng.random((h, w)) < fill) * rng.integers(1, 4, size=(h, w))
-        stacks = [[list(range(heights[y, x])) for x in range(w)]
-                  for y in range(h)]
         task = TaskConfig(kind=kind, n_blocks=int(heights.sum()), width=w,
                           height=h, goal_stack_height=2, rotations=rotations)
-        ws = gridsim.Workspace(width=w, height=h, stacks=stacks, task=task,
-                               rng_seed=seed, gripper=99 if holding else None)
-        grid = ws.height_grid()
-        assert grid.dtype == np.float64
-        assert grid.tobytes() == loop_height_grid(ws).tobytes()
+        ws = gridsim.Workspace(heights=heights, task=task, rng_seed=seed,
+                               holding=holding)
         for prim in Primitive:
             mask = gridsim.valid_action_mask(ws, prim)
             ref = loop_valid_action_mask(ws, prim)
             assert mask.dtype == ref.dtype and mask.shape == ref.shape
             assert mask.tobytes() == ref.tobytes()
+        channels = gridsim.render_observation(ws).channels
+        for y in range(h):
+            for x in range(w):
+                assert channels[0, y, x] == (1.0 if heights[y, x] else 0.0)
+                assert channels[1, y, x] == min(1.0, heights[y, x] / task.height_norm)
+                assert channels[2, y, x] == (1.0 if holding else 0.0)
+
+
+@st.composite
+def episodes(draw):
+    """A random task of any kind, and actions that reach every cell, one
+    step off the grid and one rotation out of range, with every primitive,
+    including those the task does not allow."""
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(TaskKind))
+    rotations = draw(st.sampled_from([1, 2, 4, 8]))
+    common = dict(width=w, height=h, rotations=rotations,
+                  allowed_primitives=draw(st.sets(
+                      st.sampled_from(PRIMITIVE_ORDER), min_size=1)),
+                  push_distance=draw(st.integers(1, 3)),
+                  fail_limit=draw(st.integers(1, 12)),
+                  max_steps=draw(st.integers(0, 30)))
+    if kind is TaskKind.SCRIPTED_ARRANGEMENT:
+        cells = draw(st.lists(st.integers(0, 4), min_size=h * w,
+                              max_size=h * w).filter(any))
+        layout = "\n".join("".join(str(c) if c else "." for c in
+                                   cells[y * w:(y + 1) * w]) for y in range(h))
+        task = TaskConfig(kind=kind, n_blocks=0, layout=layout, **common)
+    else:
+        low = 2 if kind is TaskKind.BLOCK_STACKING else 1
+        assume(h * w >= low)
+        n = draw(st.integers(low, h * w))
+        goal = draw(st.integers(2, n)) if low == 2 else 0
+        task = TaskConfig(kind=kind, n_blocks=n, goal_stack_height=goal,
+                          **common)
+    actions = draw(st.lists(st.builds(
+        Action, st.sampled_from(Primitive), st.integers(-1, w),
+        st.integers(-1, h), st.integers(-1, rotations)), max_size=40))
+    return task, actions
+
+
+class TestSimulatorInvariants:
+    @given(episode=episodes(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_conservation_pick_and_rejected_steps(self, episode, seed):
+        task, actions = episode
+        ws, _ = gridsim.reset(task, seed)
+        for action in actions:
+            pick_mask = gridsim.valid_action_mask(ws, Primitive.PICK)
+            before = (ws.heights.copy(), ws.holding, ws.removed,
+                      ws.step_count, ws.failure_streak)
+            try:
+                res = gridsim.step(ws, action)
+            except ContractViolation:
+                assert np.array_equal(ws.heights, before[0])
+                assert (ws.holding, ws.removed, ws.step_count,
+                        ws.failure_streak) == before[1:]
+                continue
+            assert ws.heights.sum() + ws.holding + ws.removed == task.n_blocks
+            if action.primitive is Primitive.PICK and not before[1]:
+                # A pick with an empty gripper succeeds exactly where the
+                # mask says it is valid.
+                assert res.primitive_success == pick_mask[action.y, action.x]
+            if res.done:
+                break

@@ -153,6 +153,15 @@ class TestTrain:
         with pytest.raises(NoValidActionError):
             train(small_config(task=task, train_steps=5))
 
+    def test_train_and_evaluate_leave_the_task_unchanged(self):
+        # The scripted layout resolves n_blocks and max_steps when the task
+        # is built; running it must not write into the caller's config.
+        cfg = dead_end_config(train_steps=7, eval_runs=2)
+        before = replace(cfg.task)
+        assert (before.n_blocks, before.max_steps) == (1, 8)
+        evaluate(train(cfg).net, cfg)
+        assert cfg.task == before
+
     def test_mid_episode_dead_end_drops_the_episode(self):
         cfg = dead_end_config(train_steps=7)
         report = train(cfg)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridmanip.gridsim import (Action, Observation, Primitive, PRIMITIVE_ORDER,
                                theta_radians)
-from gridmanip.qfunc import (PrevActionContext, QNetwork, TrainHyper,
+from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError,
+                             PrevActionContext, QNetwork, TrainHyper,
                              TrainingDivergence, build_target_map,
                              compute_target, forward, forward_all,
                              load_checkpoint, meta_path,
@@ -619,6 +621,18 @@ class TestCheckpoint:
         header = read_checkpoint_header(path)
         assert len(header["arrays"]) == 18        # 3 nets x 6 arrays
         assert header["arrays"][0][0] == "push.w1"
+
+    @pytest.mark.parametrize("old, new", [
+        (struct.pack("<I", CHECKPOINT_VERSION), struct.pack("<I", 99)),
+        (b"place.b3", b"place.b4"),
+    ])
+    def test_other_version_or_arrays_rejected(self, tmp_path, old, new):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, fresh_net(16), (6, 6))
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
