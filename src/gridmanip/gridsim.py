@@ -119,6 +119,10 @@ class TaskConfig:
                 )
         if self.kind is TaskKind.SCRIPTED_ARRANGEMENT and not self.layout.strip():
             raise ConfigurationError("scripted arrangement requires a layout grid")
+        if self.kind is not TaskKind.SCRIPTED_ARRANGEMENT and self.layout.strip():
+            raise ConfigurationError(
+                f"task.layout is only read by task.kind=scripted_arrangement, "
+                f"not {self.kind.value}; leave it empty")
         if self.kind is not TaskKind.SCRIPTED_ARRANGEMENT and \
                 self.n_blocks > self.width * self.height:
             raise ConfigurationError(

@@ -4,12 +4,16 @@ Training is strictly sequential: each step's network input depends on the
 previous action's Q prediction. Every random draw flows from named
 SeedSequence streams of the run seed, so a (config, seed) pair fully
 determines all logged numbers. Evaluation runs greedy episodes on frozen
-weights and never touches the network.
+weights and never touches the network. Evaluation runs and ablation
+variants depend only on their own seed or variant, so ``fan_out`` may spread
+them over forked workers without changing a bit of the results.
 """
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -341,16 +345,9 @@ def _learning_curves(cfg, records, episodes):
     return success, efficiency
 
 
-def evaluate(net: QNetwork, cfg: RunConfig) -> Metrics:
-    """Greedy deterministic evaluation over cfg.eval_runs fresh seeds.
-
-    Weights are read-only; a run completes iff the task goal is reached
-    before a fail streak or the step budget ends the episode.
-    """
-    cfg.validate()
-    seeds = [derive_seed(cfg.seed, _STREAM_EVAL, run_i)
-             for run_i in range(cfg.eval_runs)]
-    tallest = []    # per pick of the current run: at the tallest (2+) stack?
+def _eval_run(net: QNetwork, task: TaskConfig, seed: int) -> EvalRun:
+    """One greedy run from a fresh reset with ``seed``."""
+    tallest = []    # per pick: at the tallest (2+) stack?
 
     def choose(ws, q_maps, masks):
         try:
@@ -362,24 +359,30 @@ def evaluate(net: QNetwork, cfg: RunConfig) -> Metrics:
                                 == ws.heights.max() >= 2))
         return action
 
-    runs, records = [], []
-    for ws, _, _, _, action, result in _play(net, cfg.task, seeds, choose):
+    records = []
+    for ws, _, _, _, action, result in _play(net, task, [seed], choose):
         if action is not None:
             records.append(_step_record(ws.step_count - 1, action, result))
-            if not result.done:
-                continue
-        reason = ("no_valid_action" if action is None
-                  else result.done_reason.value)
-        picks = [r.success for r in records
-                 if r.primitive == Primitive.PICK.value]
-        runs.append(EvalRun(seed=ws.rng_seed,
-                            completed=reason == DoneReason.GOAL.value,
-                            done_reason=reason, actions=ws.step_count,
-                            picks_attempted=len(picks),
-                            picks_succeeded=sum(picks),
-                            tallest_stack_picks=sum(tallest), records=records))
-        records = []
-        tallest.clear()
+    reason = "no_valid_action" if action is None else result.done_reason.value
+    picks = [r.success for r in records if r.primitive == Primitive.PICK.value]
+    return EvalRun(seed=seed, completed=reason == DoneReason.GOAL.value,
+                   done_reason=reason, actions=ws.step_count,
+                   picks_attempted=len(picks), picks_succeeded=sum(picks),
+                   tallest_stack_picks=sum(tallest), records=records)
+
+
+def evaluate(net: QNetwork, cfg: RunConfig, jobs=1) -> Metrics:
+    """Greedy deterministic evaluation over cfg.eval_runs fresh seeds.
+
+    Weights are read-only; a run completes iff the task goal is reached
+    before a fail streak or the step budget ends the episode. Runs are
+    independent, so ``jobs > 1`` spreads them over forked workers with the
+    same result.
+    """
+    cfg.validate()
+    seeds = [derive_seed(cfg.seed, _STREAM_EVAL, run_i)
+             for run_i in range(cfg.eval_runs)]
+    runs = fan_out(partial(_eval_run, net, cfg.task), seeds, jobs)
 
     completed = [r for r in runs if r.completed]
     completion_rate = len(completed) / len(runs)
@@ -417,19 +420,77 @@ class AblationEntry:
     metrics: Metrics
 
 
-def run_ablation(cfg: RunConfig, variant_cb=None) -> dict:
+def _ablation_entry(cfg: RunConfig, name: str) -> AblationEntry:
+    vcfg = variant_config(cfg, name)
+    report = train(vcfg)
+    return AblationEntry(name=name, cfg=vcfg, report=report,
+                         metrics=evaluate(report.net, vcfg))
+
+
+def run_ablation(cfg: RunConfig, variant_cb=None, jobs=1) -> dict:
     """Train and evaluate the reward/exploration ladder with shared seeds.
 
-    ``variant_cb(entry)``, when given, is invoked as soon as each variant is
-    evaluated (the CLI uses it to write that variant's outputs).
+    ``jobs > 1`` runs the variants in forked workers, each evaluating
+    serially. ``variant_cb(entry)``, when given, is invoked for each variant
+    in ladder order (the CLI uses it to write that variant's outputs).
     """
+    names = [name for name, _, _ in ABLATION_VARIANTS]
     out = {}
-    for name, _, _ in ABLATION_VARIANTS:
-        vcfg = variant_config(cfg, name)
-        report = train(vcfg)
-        metrics = evaluate(report.net, vcfg)
-        out[name] = AblationEntry(name=name, cfg=vcfg, report=report,
-                                  metrics=metrics)
+    for entry in fan_out(partial(_ablation_entry, cfg), names, jobs):
+        out[entry.name] = entry
         if variant_cb:
-            variant_cb(out[name])
+            variant_cb(entry)
     return out
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset -c 0`` gives 1), else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_worker_fn = None   # set in each forked worker by _init_worker
+
+
+def _init_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker(item):
+    return _worker_fn(item)
+
+
+def fan_out(fn, items, jobs=1) -> list:
+    """``[fn(item) for item in items]``, in input order.
+
+    With ``jobs > 1`` (and more than one item) the calls spread over a pool
+    of ``jobs`` worker processes started by ``fork``. ``fn`` reaches the
+    workers through the fork, never through pickling, so it may close over
+    large read-only state such as a network; only items and results are
+    pickled. Each call must depend on nothing but its item, so the results
+    equal the serial ones. The pool is closed and joined before this
+    returns, also when a call raises (the error is re-raised here). Where
+    ``fork`` is unavailable the calls run in this process.
+    """
+    jobs = min(jobs, len(items))
+    if jobs > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            jobs = 1
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    pool = multiprocessing.get_context("fork").Pool(
+        jobs, initializer=_init_worker, initargs=(fn,))
+    try:
+        results = pool.map(_call_worker, items)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return results

@@ -14,6 +14,7 @@ explicit numpy; no autodiff anywhere.
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -478,12 +479,8 @@ def save_checkpoint(path, net: QNetwork, grid_shape, cfg_hash: str = ""):
         header.append(encoded)
         header.append(struct.pack("<B", arr.ndim))
         header.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    with open(path, "wb") as fh:
-        for chunk in header:
-            fh.write(chunk)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
+    data = b"".join(header) + b"".join(
+        np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
     meta = [f"version={CHECKPOINT_VERSION}",
             f"rotations={net.rotations}",
             f"in_channels={net.in_channels}",
@@ -493,8 +490,26 @@ def save_checkpoint(path, net: QNetwork, grid_shape, cfg_hash: str = ""):
             f"config_hash={cfg_hash or '0' * 64}"]
     meta += [f"array={name} {','.join(map(str, arr.shape))}"
              for name, arr in arrays]
-    with open(meta_path(path), "w") as fh:
-        fh.write("\n".join(meta) + "\n")
+    _write_replacing({path: data,
+                      meta_path(path): ("\n".join(meta) + "\n").encode()})
+
+
+def _write_replacing(files):
+    """Write ``{path: bytes}`` to temp files beside the targets, then rename
+    each over its target, so an interrupted save leaves the previous files
+    whole and no temp file behind."""
+    staged = []
+    try:
+        for path, data in files.items():
+            staged.append(f"{path}.tmp")
+            with open(staged[-1], "wb") as fh:
+                fh.write(data)
+        for path, tmp in zip(files, staged):
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def meta_path(path) -> str:

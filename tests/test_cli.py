@@ -217,6 +217,7 @@ class TestTrainCommand:
         (f"{SCRIPTED_4X1} task.width=5 task.layout=1...", "layout must be"),
         (f"{SCRIPTED_4X1} task.layout=....", "layout places no blocks"),
         (f"{SCRIPTED_4X1} task.n_blocks=3 task.layout=1...", "n_blocks=3"),
+        ("task.layout=1x..", "task.layout"),
     ])
     def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                  capsys, override, named):

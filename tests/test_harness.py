@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import pickle
 from dataclasses import replace
 
@@ -8,8 +9,9 @@ import pytest
 from gridmanip import harness
 from gridmanip.gridsim import Primitive, TaskConfig, TaskKind
 from gridmanip.harness import (ABLATION_VARIANTS, EpisodeSummary, RunConfig,
-                               derive_seed, evaluate, ideal_actions,
-                               run_ablation, train, variant_config)
+                               derive_seed, evaluate, fan_out,
+                               ideal_actions, run_ablation, train,
+                               variant_config)
 from gridmanip.policy import NoValidActionError
 from gridmanip.qfunc import QNetwork, TrainHyper
 
@@ -309,3 +311,70 @@ class TestAblation:
         for entry in out.values():
             assert len(entry.report.records) == 60
             assert 0.0 <= entry.metrics.completion_rate <= 1.0
+
+
+def stack3_config(**kw):
+    task = TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=4,
+                      goal_stack_height=3, width=6, height=6,
+                      allowed_primitives=(Primitive.PUSH, Primitive.PICK,
+                                          Primitive.PLACE))
+    defaults = dict(task=task, train_steps=60, eval_runs=5, seed=2,
+                    checkpoint_every=0)
+    defaults.update(kw)
+    return RunConfig(**defaults)
+
+
+def _fail_on_three(item):
+    if item == 3:
+        raise ValueError("item 3")
+    return item
+
+
+class TestParallel:
+    """Forked workers give exactly the serial results."""
+
+    @pytest.mark.parametrize("make_cfg", [
+        stack3_config,
+        lambda: clutter_config(eval_runs=5),
+        lambda: dead_end_config(eval_runs=5),
+    ], ids=["stack3", "clutter", "dead_end"])
+    def test_evaluate_jobs_equal_serial(self, make_cfg):
+        cfg = make_cfg()
+        net = train(replace(cfg, train_steps=30)).net
+        serial = evaluate(net, cfg, jobs=1)
+        parallel = evaluate(net, cfg, jobs=2)
+        assert parallel == serial   # every EvalRun and StepRecord, by field
+        assert not multiprocessing.active_children()
+
+    def test_ablation_jobs_equal_serial_in_ladder_order(self):
+        cfg = small_config(train_steps=40, eval_runs=3)
+        order = {1: [], 2: []}
+        out = {jobs: run_ablation(cfg, lambda e, jobs=jobs:
+                                  order[jobs].append(e.name), jobs=jobs)
+               for jobs in (1, 2)}
+        ladder = [name for name, _, _ in ABLATION_VARIANTS]
+        assert order[1] == order[2] == list(out[2]) == ladder
+        for name in ladder:
+            serial, parallel = out[1][name], out[2][name]
+            assert parallel.cfg == serial.cfg
+            assert parallel.metrics == serial.metrics
+            assert parallel.report.records == serial.report.records
+            assert parallel.report.episodes == serial.report.episodes
+            np.testing.assert_array_equal(parallel.report.success_curve,
+                                          serial.report.success_curve)
+            np.testing.assert_array_equal(parallel.report.efficiency_curve,
+                                          serial.report.efficiency_curve)
+            assert net_digest(parallel.report.net) == \
+                net_digest(serial.report.net)
+        assert not multiprocessing.active_children()
+
+    def test_fan_out_keeps_order_and_forks_the_function(self):
+        offset = 100    # a lambda cannot be pickled; the fork carries it
+        assert fan_out(lambda item: item + offset, range(7), jobs=2) == \
+            list(range(100, 107))
+        assert not multiprocessing.active_children()
+
+    def test_worker_error_raised_and_pool_joined(self):
+        with pytest.raises(ValueError, match="item 3"):
+            fan_out(_fail_on_three, range(6), jobs=2)
+        assert not multiprocessing.active_children()

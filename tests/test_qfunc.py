@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridmanip.gridsim import (Action, Observation, Primitive, PRIMITIVE_ORDER,
                                theta_radians)
+from gridmanip import qfunc
 from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError,
                              PrevActionContext, QNetwork, TrainHyper,
                              TrainingDivergence, build_target_map,
@@ -651,3 +652,37 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             first.reshape(net.stacks[Primitive.PUSH].w1.shape),
             net.stacks[Primitive.PUSH].w1)
+
+    @pytest.mark.parametrize("torn", [".bin.tmp", ".meta.tmp"])
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path,
+                                                        monkeypatch, torn):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, fresh_net(17), (6, 6))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert set(before) == {"checkpoint.bin", "checkpoint.meta"}
+        real_open = open
+
+        class TornFile:
+            """Writes half of what goes to the file named ``torn``, then
+            raises."""
+
+            def __init__(self, name, mode):
+                self.fh = real_open(name, mode)
+                self.tear = str(name).endswith(torn)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if self.tear:
+                    self.fh.write(data[:len(data) // 2])
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(qfunc, "open", TornFile, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, fresh_net(18), (6, 6))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
