@@ -141,7 +141,7 @@ def _cmd_eval(args):
             f"checkpoint grid {header['grid_height']}x{header['grid_width']} "
             f"does not match task {cfg.task.height}x{cfg.task.width}")
     out_dir = _prepare_out(args.out or "out", config_mod.config_text(values))
-    metrics = harness.evaluate(net, cfg, jobs=harness.usable_cpus())
+    metrics = harness.evaluate(net, cfg)
     _write_metrics(out_dir / "metrics.csv", metrics, cfg.eval_runs)
     _write_eval_log(out_dir / "run.log", metrics)
     print(f"eval: completion_rate={metrics.completion_rate} "
@@ -171,7 +171,7 @@ def _cmd_ablate(args):
         print(f"ablate[{entry.name}]: completion={rows[-1][1]} "
               f"pick={rows[-1][2]} efficiency={rows[-1][3]}")
 
-    harness.run_ablation(cfg, write_variant, jobs=harness.usable_cpus())
+    harness.run_ablation(cfg, write_variant)
     with open(out_dir / "ablation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "completion_rate", "pick_success",

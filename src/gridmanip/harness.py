@@ -12,6 +12,8 @@ them over forked workers without changing a bit of the results.
 import itertools
 import math
 import os
+import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -152,7 +154,7 @@ class TrainReport:
     efficiency_curve: np.ndarray
     net: QNetwork
     final_exploration: ExplorationState
-    replay_buffer: ReplayBuffer
+    replay_buffer: ReplayBuffer | None    # None in ablation entries
 
 
 @dataclass
@@ -371,18 +373,18 @@ def _eval_run(net: QNetwork, task: TaskConfig, seed: int) -> EvalRun:
                    tallest_stack_picks=sum(tallest), records=records)
 
 
-def evaluate(net: QNetwork, cfg: RunConfig, jobs=1) -> Metrics:
+def evaluate(net: QNetwork, cfg: RunConfig) -> Metrics:
     """Greedy deterministic evaluation over cfg.eval_runs fresh seeds.
 
     Weights are read-only; a run completes iff the task goal is reached
     before a fail streak or the step budget ends the episode. Runs are
-    independent, so ``jobs > 1`` spreads them over forked workers with the
+    independent, so ``fan_out`` may spread them over forked workers with the
     same result.
     """
     cfg.validate()
     seeds = [derive_seed(cfg.seed, _STREAM_EVAL, run_i)
              for run_i in range(cfg.eval_runs)]
-    runs = fan_out(partial(_eval_run, net, cfg.task), seeds, jobs)
+    runs = list(fan_out(partial(_eval_run, net, cfg.task), seeds))
 
     completed = [r for r in runs if r.completed]
     completion_rate = len(completed) / len(runs)
@@ -422,24 +424,27 @@ class AblationEntry:
 
 def _ablation_entry(cfg: RunConfig, name: str) -> AblationEntry:
     vcfg = variant_config(cfg, name)
-    report = train(vcfg)
+    # No caller reads a variant's replay buffer; a worker would pickle it back.
+    report = replace(train(vcfg), replay_buffer=None)
     return AblationEntry(name=name, cfg=vcfg, report=report,
                          metrics=evaluate(report.net, vcfg))
 
 
-def run_ablation(cfg: RunConfig, variant_cb=None, jobs=1) -> dict:
+def run_ablation(cfg: RunConfig, variant_cb=None) -> dict:
     """Train and evaluate the reward/exploration ladder with shared seeds.
 
-    ``jobs > 1`` runs the variants in forked workers, each evaluating
-    serially. ``variant_cb(entry)``, when given, is invoked for each variant
-    in ladder order (the CLI uses it to write that variant's outputs).
+    ``variant_cb(entry)``, when given, is invoked for each variant in ladder
+    order as soon as it and the variants before it are done (the CLI uses it
+    to write that variant's outputs, so a later variant's failure keeps
+    them). Entries carry no replay buffer.
     """
     names = [name for name, _, _ in ABLATION_VARIANTS]
     out = {}
-    for entry in fan_out(partial(_ablation_entry, cfg), names, jobs):
-        out[entry.name] = entry
-        if variant_cb:
-            variant_cb(entry)
+    with closing(fan_out(partial(_ablation_entry, cfg), names)) as entries:
+        for entry in entries:
+            out[entry.name] = entry
+            if variant_cb:
+                variant_cb(entry)
     return out
 
 
@@ -451,6 +456,22 @@ def usable_cpus() -> int:
     except AttributeError:
         return os.cpu_count() or 1
 
+
+# What a two-worker fork pool costs beyond the work it splits: start-up,
+# shutdown and the workers' copy-on-write faults. Measured on a 2-vCPU cloud
+# VM (Python 3.11) in a process that had just trained the default config: a
+# 29-run greedy evaluation took 60 ms in-process and 104 ms forked, 74 ms
+# over half the serial time. fan_out forks only when that is bought back.
+POOL_START_S = 0.1
+
+
+def _loop_calls():
+    return forward_all, valid_action_mask, gridsim.reset, gridsim.step
+
+
+# What the episode loop calls, as imported. A tracer that wraps one of them
+# records only the calls made in its own process.
+_LOOP_CALLS = _loop_calls()
 
 _worker_fn = None   # set in each forked worker by _init_worker
 
@@ -464,33 +485,47 @@ def _call_worker(item):
     return _worker_fn(item)
 
 
-def fan_out(fn, items, jobs=1) -> list:
-    """``[fn(item) for item in items]``, in input order.
+def _may_fork():
+    """Not inside a worker (its pool already holds the CPUs), not while an
+    episode-loop call is wrapped, and only where ``fork`` exists."""
+    if _worker_fn is not None or _loop_calls() != _LOOP_CALLS:
+        return False
+    import multiprocessing
+    return "fork" in multiprocessing.get_all_start_methods()
 
-    With ``jobs > 1`` (and more than one item) the calls spread over a pool
-    of ``jobs`` worker processes started by ``fork``. ``fn`` reaches the
-    workers through the fork, never through pickling, so it may close over
-    large read-only state such as a network; only items and results are
-    pickled. Each call must depend on nothing but its item, so the results
-    equal the serial ones. The pool is closed and joined before this
-    returns, also when a call raises (the error is re-raised here). Where
-    ``fork`` is unavailable the calls run in this process.
+
+def fan_out(fn, items):
+    """Yield ``fn(item)`` for each item, in input order, each as soon as it
+    and the ones before it are done.
+
+    The first call runs in this process and sets the pace. If the remaining
+    calls at that pace would save more than POOL_START_S by running on all
+    usable CPUs, and ``_may_fork()``, they go to a pool of that many worker
+    processes started by ``fork``; otherwise they run here too. ``fn``
+    reaches the workers through the fork, never through pickling, so it may
+    close over large read-only state such as a network; only items and
+    results are pickled. Each call must depend on nothing but its item, so
+    the results equal the serial ones. The pool is shut down and its workers
+    joined before the generator finishes or is closed. A call that raises,
+    or a worker that dies (BrokenProcessPool), raises here once the calls
+    already running have ended.
     """
-    jobs = min(jobs, len(items))
-    if jobs > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            jobs = 1
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    pool = multiprocessing.get_context("fork").Pool(
-        jobs, initializer=_init_worker, initargs=(fn,))
-    try:
-        results = pool.map(_call_worker, items)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return results
+    items = list(items)
+    if not items:
+        return
+    start = time.perf_counter()
+    first = fn(items[0])
+    pace = time.perf_counter() - start
+    yield first
+    rest = items[1:]
+    jobs = min(usable_cpus(), len(rest))
+    if jobs < 2 or pace * len(rest) * (1 - 1 / jobs) < POOL_START_S \
+            or not _may_fork():
+        for item in rest:
+            yield fn(item)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context(
+            "fork"), initializer=_init_worker, initargs=(fn,)) as pool:
+        yield from pool.map(_call_worker, rest)

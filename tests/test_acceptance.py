@@ -211,7 +211,7 @@ class TestCriterion6AblationDirectional:
             values = default_values(**{"task.goal_stack_height": 3,
                                        "run.seed": seed})
             cfg = config_mod.build_run_config(values)
-            out = harness.run_ablation(cfg, jobs=harness.usable_cpus())
+            out = harness.run_ablation(cfg)
             for name, entry in out.items():
                 completions[name].append(entry.metrics.completion_rate)
                 efficiencies[name].append(entry.metrics.action_efficiency or 0.0)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from gridmanip import config as config_mod
+from gridmanip import harness
 from gridmanip.cli import main
 from gridmanip.config import ConfigError
 from gridmanip.gridsim import Primitive, TaskConfig, TaskKind
 from gridmanip.harness import RunConfig
-from gridmanip.qfunc import QNetwork, save_checkpoint
+from gridmanip.qfunc import QNetwork, TrainingDivergence, save_checkpoint
 
 DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 
@@ -319,6 +320,31 @@ class TestAblateCommand:
                 assert "kind = lae" in echo
             else:
                 assert "kind = decay" in echo
+
+    def test_finished_variants_written_when_a_later_one_diverges(
+            self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "POOL_START_S", 0.0)   # fork the rest
+        real_train = harness.train
+
+        def train(cfg, checkpoint_cb=None):
+            if cfg.exploration_kind == "lae":
+                raise TrainingDivergence("non-finite training loss nan")
+            return real_train(cfg, checkpoint_cb)
+        monkeypatch.setattr(harness, "train", train)
+        out = tmp_path / "ablate"
+        code = main(["ablate", "--config", str(tiny_cfg), "--out", str(out),
+                     "--set", "run.train_steps=30", "--set", "run.eval_runs=2"])
+        assert code == 2
+        printed = capsys.readouterr()
+        assert "training diverged" in printed.err
+        assert [line.split(":")[0] for line in printed.out.splitlines()] == \
+            ["ablate[baseline]", "ablate[tpgr]"]
+        for variant in ("baseline", "tpgr"):
+            for name in ("run.log", "curves.csv", "checkpoint.bin",
+                         "metrics.csv"):
+                assert (out / variant / name).exists()
+        assert not (out / "full").exists()
 
 
 class TestInspectCommand:

@@ -1,6 +1,8 @@
 import hashlib
 import multiprocessing
+import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from gridmanip.harness import (ABLATION_VARIANTS, EpisodeSummary, RunConfig,
                                ideal_actions, run_ablation, train,
                                variant_config)
 from gridmanip.policy import NoValidActionError
-from gridmanip.qfunc import QNetwork, TrainHyper
+from gridmanip.qfunc import QNetwork, TrainHyper, TrainingDivergence
 
 
 def small_config(**kw):
@@ -330,6 +332,35 @@ def _fail_on_three(item):
     return item
 
 
+def _die_on_three(item):
+    if item == 3:
+        os._exit(1)
+    return item
+
+
+def _use_cpus(monkeypatch, cpus):
+    """With 2 CPUs, fan_out forks whenever two or more calls follow the
+    first; with 1 it never does."""
+    monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "POOL_START_S", 0.0)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+
+
+def _diverge_full(monkeypatch):
+    """Make training of the last rung (the only LAE one) diverge."""
+    real_train = harness.train
+
+    def train(cfg, checkpoint_cb=None):
+        if cfg.exploration_kind == "lae":
+            raise TrainingDivergence("non-finite training loss nan")
+        return real_train(cfg, checkpoint_cb)
+    monkeypatch.setattr(harness, "train", train)
+
+
 class TestParallel:
     """Forked workers give exactly the serial results."""
 
@@ -338,24 +369,28 @@ class TestParallel:
         lambda: clutter_config(eval_runs=5),
         lambda: dead_end_config(eval_runs=5),
     ], ids=["stack3", "clutter", "dead_end"])
-    def test_evaluate_jobs_equal_serial(self, make_cfg):
+    def test_evaluate_forked_equals_serial(self, make_cfg, monkeypatch):
         cfg = make_cfg()
         net = train(replace(cfg, train_steps=30)).net
-        serial = evaluate(net, cfg, jobs=1)
-        parallel = evaluate(net, cfg, jobs=2)
+        _use_cpus(monkeypatch, 1)
+        serial = evaluate(net, cfg)
+        _use_cpus(monkeypatch, 2)
+        parallel = evaluate(net, cfg)
         assert parallel == serial   # every EvalRun and StepRecord, by field
         assert not multiprocessing.active_children()
 
-    def test_ablation_jobs_equal_serial_in_ladder_order(self):
+    def test_ablation_forked_equals_serial_in_ladder_order(self, monkeypatch):
         cfg = small_config(train_steps=40, eval_runs=3)
-        order = {1: [], 2: []}
-        out = {jobs: run_ablation(cfg, lambda e, jobs=jobs:
-                                  order[jobs].append(e.name), jobs=jobs)
-               for jobs in (1, 2)}
+        order = {"serial": [], "forked": []}
+        out = {}
+        for path, cpus in (("serial", 1), ("forked", 2)):
+            _use_cpus(monkeypatch, cpus)
+            out[path] = run_ablation(cfg, order[path].append)
         ladder = [name for name, _, _ in ABLATION_VARIANTS]
-        assert order[1] == order[2] == list(out[2]) == ladder
+        assert [e.name for e in order["serial"]] == \
+            [e.name for e in order["forked"]] == list(out["forked"]) == ladder
         for name in ladder:
-            serial, parallel = out[1][name], out[2][name]
+            serial, parallel = out["serial"][name], out["forked"][name]
             assert parallel.cfg == serial.cfg
             assert parallel.metrics == serial.metrics
             assert parallel.report.records == serial.report.records
@@ -366,15 +401,64 @@ class TestParallel:
                                           serial.report.efficiency_curve)
             assert net_digest(parallel.report.net) == \
                 net_digest(serial.report.net)
+            assert parallel.report.replay_buffer is None
         assert not multiprocessing.active_children()
 
-    def test_fan_out_keeps_order_and_forks_the_function(self):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ablation_reports_variants_before_a_later_one_fails(
+            self, cpus, monkeypatch):
+        _use_cpus(monkeypatch, cpus)
+        _diverge_full(monkeypatch)
+        done = []
+        with pytest.raises(TrainingDivergence):
+            run_ablation(small_config(train_steps=20, eval_runs=2),
+                         lambda entry: done.append(entry.name))
+        assert done == ["baseline", "tpgr"]
+        assert not multiprocessing.active_children()
+
+    def test_fan_out_keeps_order_and_forks_the_function(self, forked):
         offset = 100    # a lambda cannot be pickled; the fork carries it
-        assert fan_out(lambda item: item + offset, range(7), jobs=2) == \
-            list(range(100, 107))
+        out = list(fan_out(lambda item: (item + offset, os.getpid()),
+                           range(7)))
+        assert [value for value, _ in out] == list(range(100, 107))
+        assert out[0][1] == os.getpid()     # the first call sets the pace
+        assert os.getpid() not in {pid for _, pid in out[1:]}
         assert not multiprocessing.active_children()
 
-    def test_worker_error_raised_and_pool_joined(self):
+    def test_quick_calls_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        assert {pid for pid in fan_out(lambda _: os.getpid(), range(5))} == \
+            {os.getpid()}
+
+    def test_workers_do_not_fork_again(self, forked):
+        def inner_pids(_):
+            return {pid for pid in fan_out(lambda _: os.getpid(), range(4))}
+        outer = list(fan_out(lambda item: (os.getpid(), inner_pids(item)),
+                             range(3)))
+        assert outer[0][0] == os.getpid()
+        for pid, inner in outer[1:]:   # in a worker
+            assert inner == {pid}
+        assert not multiprocessing.active_children()
+
+    def test_wrapped_loop_call_keeps_evaluation_in_process(
+            self, forked, monkeypatch):
+        calls = []
+        real_step = harness.gridsim.step
+
+        def step(ws, action):
+            calls.append(action)
+            return real_step(ws, action)
+        monkeypatch.setattr(harness.gridsim, "step", step)
+        cfg = small_config(eval_runs=4)
+        metrics = evaluate(harness._fresh_network(cfg), cfg)
+        assert len(calls) == sum(run.actions for run in metrics.runs)
+
+    def test_worker_error_raised_and_pool_joined(self, forked):
         with pytest.raises(ValueError, match="item 3"):
-            fan_out(_fail_on_three, range(6), jobs=2)
+            list(fan_out(_fail_on_three, range(6)))
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_raises_instead_of_hanging(self, forked):
+        with pytest.raises(BrokenProcessPool):
+            list(fan_out(_die_on_three, range(6)))
         assert not multiprocessing.active_children()
