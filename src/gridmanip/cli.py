@@ -3,7 +3,10 @@
 Subcommands: train, eval, ablate, inspect, selftest. Every run echoes its
 effective configuration (file plus overrides) into the output directory, so
 a run is re-launchable from its echo alone. Exit codes: 0 success, 1
-configuration error or bad checkpoint file, 2 runtime failure.
+configuration error, 2 runtime failure. A configuration error is the one
+``ConfigError``: a bad config value (the config objects check themselves
+when they are built), a bad argument, or a checkpoint file that is corrupt
+or does not fit the config. Each is raised before any output is written.
 """
 
 import argparse
@@ -19,7 +22,7 @@ from . import config as config_mod
 from . import gridsim, harness, qfunc, selftest
 from .config import ConfigError
 from .gridsim import Primitive
-from .qfunc import CheckpointError, PrevActionContext, TrainingDivergence
+from .qfunc import PrevActionContext, TrainingDivergence
 
 
 def _fmt(value):
@@ -140,6 +143,10 @@ def _cmd_eval(args):
         raise ConfigError(
             f"checkpoint grid {header['grid_height']}x{header['grid_width']} "
             f"does not match task {cfg.task.height}x{cfg.task.width}")
+    if header["rotations"] != cfg.task.rotations:
+        raise ConfigError(
+            f"checkpoint has {header['rotations']} rotations but "
+            f"task.rotations={cfg.task.rotations}")
     out_dir = _prepare_out(args.out or "out", config_mod.config_text(values))
     metrics = harness.evaluate(net, cfg)
     _write_metrics(out_dir / "metrics.csv", metrics, cfg.eval_runs)
@@ -185,6 +192,9 @@ def _cmd_inspect(args):
         return _dump_reward_map(args)
     if not args.checkpoint:
         raise ConfigError("inspect requires a checkpoint path")
+    if args.dump_qmap and args.dump_qmap not in {p.value for p in Primitive}:
+        raise ConfigError(f"--dump-qmap {args.dump_qmap!r} must be one of "
+                          f"{', '.join(p.value for p in Primitive)}")
     header = qfunc.read_checkpoint_header(args.checkpoint)
     for key in ("version", "rotations", "in_channels", "hidden_channels",
                 "grid_height", "grid_width", "config_hash"):
@@ -192,11 +202,11 @@ def _cmd_inspect(args):
     for name, shape in header["arrays"]:
         print(f"array: {name} shape={'x'.join(map(str, shape))}")
     if args.dump_qmap:
-        return _dump_qmap(args, header)
+        return _dump_qmap(args)
     return 0
 
 
-def _dump_qmap(args, header):
+def _dump_qmap(args):
     values = _load_effective_config(args)
     cfg = config_mod.build_run_config(values)
     net, _ = qfunc.load_checkpoint(args.checkpoint)
@@ -216,16 +226,24 @@ def _dump_qmap(args, header):
 def _dump_reward_map(args):
     values = _load_effective_config(args)
     cfg = config_mod.build_run_config(values)
+    task = cfg.task
+    arg = f"--dump-reward-map {args.dump_reward_map}"
     try:
         x, y, theta_index, r_tp = args.dump_reward_map.split(",")
-        pose = (int(x), int(y),
-                gridsim.theta_radians(int(theta_index), cfg.task.rotations))
-        r_tp = float(r_tp)
+        x, y, theta_index, r_tp = int(x), int(y), int(theta_index), float(r_tp)
     except ValueError as exc:
         raise ConfigError(f"--dump-reward-map wants x,y,theta_index,r_tp: {exc}")
+    if not (0 <= x < task.width and 0 <= y < task.height):
+        raise ConfigError(f"{arg}: pose ({x},{y}) is outside the "
+                          f"{task.width}x{task.height} grid")
+    if not 0 <= theta_index < task.rotations:
+        raise ConfigError(f"{arg}: theta_index must lie in "
+                          f"[0, {task.rotations})")
+    if not 0 <= r_tp < math.inf:
+        raise ConfigError(f"{arg}: r_tp must be finite and >= 0")
     from .reward import tpg_reward_map
-    rmap = tpg_reward_map(r_tp, pose, cfg.reward,
-                          (cfg.task.height, cfg.task.width))
+    pose = (x, y, gridsim.theta_radians(theta_index, task.rotations))
+    rmap = tpg_reward_map(r_tp, pose, cfg.reward, (task.height, task.width))
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "reward_map.csv"
@@ -291,7 +309,7 @@ def main(argv=None):
         return 1
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1

@@ -6,22 +6,20 @@ defaults, the known-key check, the echo order and the typed ``RunConfig``
 all come from it, and the tests check ``configs/default.ini`` against it.
 The effective configuration (file plus --set overrides) is echoed verbatim
 next to the run outputs so any run can be relaunched from its echo alone.
-Unknown sections or keys are rejected by name; value ranges and kinds are
-checked by ``RunConfig.validate``.
+Unknown sections or keys are rejected by name. The typed config objects are
+frozen and check their values and kinds when they are built, so every
+``RunConfig`` that exists is valid. Every config problem, here or there,
+raises the one ``ConfigError``; where a value is at fault it names the key.
 """
 
 import configparser
 import io
 
-from .gridsim import Primitive, TaskConfig, TaskKind
+from .gridsim import ConfigError, Primitive, TaskConfig, TaskKind
 from .harness import RunConfig
 from .policy import ExplorationState
 from .qfunc import TrainHyper
 from .reward import RewardParams
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _primitives(raw):
@@ -150,8 +148,8 @@ def _convert(section, key, raw, kind):
 
 
 def build_run_config(values: dict) -> RunConfig:
-    """Materialize the typed RunConfig from string values and validate it,
-    so a bad config fails before any work starts."""
+    """Materialize the typed RunConfig from string values; building it
+    checks it, so a bad config fails before any work starts."""
     typed = {section: {key: _convert(section, key, values[section][key], parse)
                        for key, (_, parse) in keys.items()}
              for section, keys in SCHEMA.items()}
@@ -161,20 +159,13 @@ def build_run_config(values: dict) -> RunConfig:
     exploration_kind = policy.pop("kind")
     decay = {k: policy.pop(k) for k in ("decay_floor", "decay_span", "decay_rate")}
     sizes = {k: network.pop(k) for k in ("hidden_channels", "batch_size")}
-    try:
-        # TaskConfig parses a scripted layout, so a bad one fails here.
-        cfg = RunConfig(
-            task=TaskConfig(**typed["task"]),
-            reward=RewardParams(weights=weights, **reward),
-            exploration=ExplorationState(epsilon=policy["epsilon_init"],
-                                         **policy),
-            hyper=TrainHyper(**network),
-            reward_kind=reward_kind,
-            exploration_kind=exploration_kind,
-            replay_capacity=typed["replay"]["capacity"],
-            rank_exponent=typed["replay"]["rank_exponent"],
-            **decay, **sizes, **typed["run"])
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    return RunConfig(
+        task=TaskConfig(**typed["task"]),
+        reward=RewardParams(weights=weights, **reward),
+        exploration=ExplorationState(epsilon=policy["epsilon_init"], **policy),
+        hyper=TrainHyper(**network),
+        reward_kind=reward_kind,
+        exploration_kind=exploration_kind,
+        replay_capacity=typed["replay"]["capacity"],
+        rank_exponent=typed["replay"]["rank_exponent"],
+        **decay, **sizes, **typed["run"])

@@ -40,8 +40,16 @@ class DoneReason(enum.Enum):
     MAX_STEPS = "max_steps"
 
 
-class ConfigurationError(ValueError):
-    """Task configuration cannot produce a valid workspace."""
+class ConfigError(ValueError):
+    """The one error for a bad configuration. Config objects raise it when
+    they are built, so every one that exists is valid; a bad argument or
+    checkpoint file raises it too."""
+
+
+def check_value(key, value, ok, rule):
+    """Raise ConfigError naming the INI key and its rule unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"{key}={value} must be {rule}")
 
 
 class ContractViolation(ValueError):
@@ -57,7 +65,7 @@ class Action:
     q_value: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskConfig:
     kind: TaskKind
     n_blocks: int
@@ -77,22 +85,50 @@ class TaskConfig:
 
     def __post_init__(self):
         if isinstance(self.allowed_primitives, (list, set)):
-            self.allowed_primitives = tuple(
-                p for p in PRIMITIVE_ORDER if p in self.allowed_primitives
-            )
-        if self.kind is TaskKind.SCRIPTED_ARRANGEMENT and self.layout.strip():
-            self.layout_heights = _parse_layout(self.layout, self.width,
-                                                self.height)
-            total = int(self.layout_heights.sum())
+            object.__setattr__(self, "allowed_primitives", tuple(
+                p for p in PRIMITIVE_ORDER if p in self.allowed_primitives))
+        if not self.allowed_primitives:
+            raise ConfigError("allowed_primitives must be nonempty")
+        if self.width < 1 or self.height < 1:
+            raise ConfigError("grid dimensions must be positive")
+        if self.rotations < 1:
+            raise ConfigError("rotation count must be >= 1")
+        if self.rotations not in (1, 2) and self.width != self.height:
+            raise ConfigError(
+                f"task.width={self.width} differs from task.height="
+                f"{self.height}, but task.rotations={self.rotations} turns "
+                "the grid by 90 degrees; use a square grid or 1 or 2 rotations")
+        check_value("task.push_distance", self.push_distance,
+                    self.push_distance >= 1, ">= 1")
+        check_value("task.fail_limit", self.fail_limit, self.fail_limit >= 1,
+                    ">= 1")
+        scripted = self.kind is TaskKind.SCRIPTED_ARRANGEMENT
+        if scripted and not self.layout.strip():
+            raise ConfigError("scripted arrangement requires a layout grid")
+        if not scripted and self.layout.strip():
+            raise ConfigError(
+                f"task.layout is only read by task.kind=scripted_arrangement, "
+                f"not {self.kind.value}; leave it empty")
+        if scripted:
+            heights = _parse_layout(self.layout, self.width, self.height)
+            total = int(heights.sum())
             if total == 0:
-                raise ConfigurationError("scripted layout places no blocks")
+                raise ConfigError("scripted layout places no blocks")
             if self.n_blocks not in (0, total):
-                raise ConfigurationError(
-                    f"layout places {total} blocks but n_blocks={self.n_blocks}"
-                )
-            self.n_blocks = total
+                raise ConfigError(
+                    f"layout places {total} blocks but n_blocks={self.n_blocks}")
+            object.__setattr__(self, "layout_heights", heights)
+            object.__setattr__(self, "n_blocks", total)
+        elif self.n_blocks > self.width * self.height:
+            raise ConfigError(
+                f"grid {self.width}x{self.height} too small for {self.n_blocks} blocks")
+        if self.kind is TaskKind.BLOCK_STACKING and \
+                not 2 <= self.goal_stack_height <= self.n_blocks:
+            raise ConfigError(
+                "goal_stack_height must lie in [2, n_blocks], got "
+                f"{self.goal_stack_height} with n_blocks={self.n_blocks}")
         if self.max_steps <= 0:
-            self.max_steps = 8 * self.n_blocks
+            object.__setattr__(self, "max_steps", 8 * self.n_blocks)
 
     @property
     def height_norm(self):
@@ -103,31 +139,6 @@ class TaskConfig:
         if self.layout_heights is not None:
             return max(1, int(self.layout_heights.max()))
         return 1
-
-    def validate(self):
-        if not self.allowed_primitives:
-            raise ConfigurationError("allowed_primitives must be nonempty")
-        if self.width < 1 or self.height < 1:
-            raise ConfigurationError("grid dimensions must be positive")
-        if self.rotations < 1:
-            raise ConfigurationError("rotation count must be >= 1")
-        if self.kind is TaskKind.BLOCK_STACKING:
-            if not (2 <= self.goal_stack_height <= self.n_blocks):
-                raise ConfigurationError(
-                    "goal_stack_height must lie in [2, n_blocks], got "
-                    f"{self.goal_stack_height} with n_blocks={self.n_blocks}"
-                )
-        if self.kind is TaskKind.SCRIPTED_ARRANGEMENT and not self.layout.strip():
-            raise ConfigurationError("scripted arrangement requires a layout grid")
-        if self.kind is not TaskKind.SCRIPTED_ARRANGEMENT and self.layout.strip():
-            raise ConfigurationError(
-                f"task.layout is only read by task.kind=scripted_arrangement, "
-                f"not {self.kind.value}; leave it empty")
-        if self.kind is not TaskKind.SCRIPTED_ARRANGEMENT and \
-                self.n_blocks > self.width * self.height:
-            raise ConfigurationError(
-                f"grid {self.width}x{self.height} too small for {self.n_blocks} blocks"
-            )
 
 
 @dataclass
@@ -177,16 +188,16 @@ def push_direction(theta_index, rotations):
 def _parse_layout(layout, width, height):
     rows = [line for line in layout.splitlines() if line.strip()]
     if len(rows) != height or any(len(r) != width for r in rows):
-        raise ConfigurationError(
+        raise ConfigError(
             f"layout must be {height} rows of {width} characters"
         )
     heights = np.zeros((height, width), dtype=int)
     for y, row in enumerate(rows):
         for x, ch in enumerate(row):
-            if ch.isdigit():
+            if ch.isdecimal():
                 heights[y, x] = int(ch)
             elif ch not in ".- ":
-                raise ConfigurationError(f"layout character {ch!r} not understood")
+                raise ConfigError(f"layout character {ch!r} not understood")
     return heights
 
 
@@ -196,7 +207,6 @@ def reset(task: TaskConfig, seed: int):
 
     Identical (task, seed) pairs produce identical workspaces.
     """
-    task.validate()
     if task.kind is TaskKind.SCRIPTED_ARRANGEMENT:
         heights = task.layout_heights.copy()
     else:

@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from . import gridsim
-from .gridsim import (DoneReason, Primitive, TaskConfig, TaskKind,
-                      theta_radians, valid_action_mask)
+from .gridsim import (ConfigError, DoneReason, Primitive, TaskConfig,
+                      TaskKind, check_value, theta_radians, valid_action_mask)
 from .policy import (ExplorationState, NoValidActionError, epsilon_greedy_decay,
                      greedy_action, select_action, update_exploration)
 from .qfunc import (PrevActionContext, QNetwork, TrainHyper, compute_target,
@@ -46,8 +46,10 @@ def derive_seed(seed, stream, index=0):
                .generate_state(1, np.uint64)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Everything one run reads. Each part checks its own fields when it is
+    built; this checks its own and the rules that span parts."""
     task: TaskConfig
     reward: RewardParams = field(default_factory=RewardParams)
     exploration: ExplorationState = field(default_factory=ExplorationState)
@@ -67,57 +69,35 @@ class RunConfig:
     checkpoint_every: int = 500
     window: int = 100
 
-    def validate(self):
-        self.task.validate()
-        self.reward.validate()
-        self.exploration.validate()
+    def __post_init__(self):
         if self.reward_kind not in REWARD_KINDS:
-            raise ValueError(f"reward.kind={self.reward_kind!r} must be one of "
-                             f"{', '.join(REWARD_KINDS)}")
+            raise ConfigError(f"reward.kind={self.reward_kind!r} must be one of "
+                              f"{', '.join(REWARD_KINDS)}")
         if self.exploration_kind not in EXPLORATION_KINDS:
-            raise ValueError(f"policy.kind={self.exploration_kind!r} must be one "
-                             f"of {', '.join(EXPLORATION_KINDS)}")
-        if self.task.rotations not in (1, 2) and \
-                self.task.width != self.task.height:
-            raise ValueError(
-                f"task.width={self.task.width} differs from task.height="
-                f"{self.task.height}, but task.rotations={self.task.rotations} "
-                "turns the grid by 90 degrees; use a square grid or 1 or 2 "
-                "rotations")
+            raise ConfigError(f"policy.kind={self.exploration_kind!r} must be "
+                              f"one of {', '.join(EXPLORATION_KINDS)}")
         if self.batch_size < 1 or self.train_steps < 0 or self.eval_runs < 1:
-            raise ValueError("batch_size/train_steps/eval_runs out of range")
+            raise ConfigError("batch_size/train_steps/eval_runs out of range")
         if self.replay_capacity < self.batch_size:
-            raise ValueError(
+            raise ConfigError(
                 f"replay.capacity={self.replay_capacity} is below "
                 f"network.batch_size={self.batch_size}; no batch could be drawn")
-        task, hyper = self.task, self.hyper
+        check_value("network.hidden_channels", self.hidden_channels,
+                    self.hidden_channels >= 1, ">= 1")
+        check_value("replay.rank_exponent", self.rank_exponent,
+                    self.rank_exponent >= 0, ">= 0")
+        check_value("run.window", self.window, self.window >= 1, ">= 1")
+        check_value("run.checkpoint_every", self.checkpoint_every,
+                    self.checkpoint_every >= 0,
+                    ">= 0 (0: no periodic checkpoint)")
         floor, span = self.decay_floor, self.decay_span
-        for key, value, ok, rule in (
-                ("network.hidden_channels", self.hidden_channels,
-                 self.hidden_channels >= 1, ">= 1"),
-                ("replay.rank_exponent", self.rank_exponent,
-                 self.rank_exponent >= 0, ">= 0"),
-                ("run.window", self.window, self.window >= 1, ">= 1"),
-                ("run.checkpoint_every", self.checkpoint_every,
-                 self.checkpoint_every >= 0, ">= 0 (0: no periodic checkpoint)"),
-                ("task.push_distance", task.push_distance,
-                 task.push_distance >= 1, ">= 1"),
-                ("task.fail_limit", task.fail_limit, task.fail_limit >= 1, ">= 1"),
-                ("network.lr", hyper.lr, hyper.lr > 0, "> 0"),
-                ("network.momentum", hyper.momentum, 0 <= hyper.momentum < 1,
-                 "in [0, 1)"),
-                ("network.gamma", hyper.gamma, 0 <= hyper.gamma <= 1, "in [0, 1]"),
-                ("network.loss_scale", hyper.loss_scale, hyper.loss_scale > 0,
-                 "> 0"),
-                ("policy.decay_rate", self.decay_rate,
-                 0 <= self.decay_rate <= 1, "in [0, 1]"),
-                ("policy.decay_span", span, span >= 0, ">= 0"),
-                ("policy.decay_floor", floor, 0 <= floor and floor + span <= 1,
-                 ">= 0, with policy.decay_floor + policy.decay_span <= 1 "
-                 "(epsilon is a probability)"),
-        ):
-            if not ok:
-                raise ValueError(f"{key}={value} must be {rule}")
+        check_value("policy.decay_rate", self.decay_rate,
+                    0 <= self.decay_rate <= 1, "in [0, 1]")
+        check_value("policy.decay_span", span, span >= 0, ">= 0")
+        check_value("policy.decay_floor", floor,
+                    0 <= floor and floor + span <= 1,
+                    ">= 0, with policy.decay_floor + policy.decay_span <= 1 "
+                    "(epsilon is a probability)")
 
 
 @dataclass(frozen=True)
@@ -244,12 +224,12 @@ def _step_record(step, action, result, r_tp=0.0, y_target=None, loss=None,
 
 
 def _exploration(cfg, lae, step_i):
-    """The exploration state training acts with at step_i: the LAE state,
-    or a copy carrying the decay schedule's epsilon."""
+    """The epsilon training acts with at step_i: the LAE state's, or the
+    decay schedule's (which may reach 1)."""
     if cfg.exploration_kind == "lae":
-        return lae
-    return replace(lae, epsilon=epsilon_greedy_decay(
-        step_i, cfg.decay_floor, cfg.decay_span, cfg.decay_rate))
+        return lae.epsilon
+    return epsilon_greedy_decay(step_i, cfg.decay_floor, cfg.decay_span,
+                                cfg.decay_rate)
 
 
 def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
@@ -258,7 +238,6 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
     ``checkpoint_cb(step, net)``, when given, is invoked every
     cfg.checkpoint_every steps (the CLI uses it to write checkpoint files).
     """
-    cfg.validate()
     shape = (cfg.task.height, cfg.task.width)
     net = _fresh_network(cfg)
     policy_rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_POLICY))
@@ -268,14 +247,15 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
     lae = cfg.exploration
     seeds = (derive_seed(cfg.seed, _STREAM_EPISODE, episode)
              for episode in itertools.count())
-    # The policy reads lae and step_i when it is called: the current ones.
+    # The policy reads eps when it is called: the current step's.
     steps = _play(net, cfg.task, seeds, lambda ws, q_maps, masks: select_action(
-        q_maps, masks, _exploration(cfg, lae, step_i), policy_rng))
+        q_maps, masks, eps, policy_rng))
     records, episodes = [], []
     step_i = 0
     after_dead_end = False
 
     while step_i < cfg.train_steps:
+        eps = _exploration(cfg, lae, step_i)
         ws, obs, ctx, prev_progress, action, result = next(steps)
         if action is None:
             # Dead end (cannot occur in the stock tasks): drop the episode.
@@ -289,7 +269,6 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
                                            "no_valid_action", prev_progress))
             continue
         after_dead_end = False
-        eps = _exploration(cfg, lae, step_i).epsilon
 
         r_tp, rmap = _reward_for_step(cfg, action, result.primitive_success,
                                       result.progress, prev_progress, shape)
@@ -381,7 +360,6 @@ def evaluate(net: QNetwork, cfg: RunConfig) -> Metrics:
     independent, so ``fan_out`` may spread them over forked workers with the
     same result.
     """
-    cfg.validate()
     seeds = [derive_seed(cfg.seed, _STREAM_EVAL, run_i)
              for run_i in range(cfg.eval_runs)]
     runs = list(fan_out(partial(_eval_run, net, cfg.task), seeds))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gridsim import Action, PRIMITIVE_ORDER
+from .gridsim import Action, ConfigError, PRIMITIVE_ORDER
 
 
 class NoValidActionError(RuntimeError):
@@ -27,11 +27,11 @@ class ExplorationState:
     alpha_scale: float = 1.0
     epsilon_init: float = 0.9
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0 and 0.0 <= self.beta < 1.0):
-            raise ValueError("epsilon and beta must lie in [0, 1)")
+            raise ConfigError("epsilon and beta must lie in [0, 1)")
         if self.sigma <= 0 or self.alpha_scale <= 0:
-            raise ValueError("sigma and alpha_scale must be positive")
+            raise ConfigError("sigma and alpha_scale must be positive")
 
 
 def boltzmann_loss_term(loss: float, state: ExplorationState) -> float:
@@ -41,7 +41,7 @@ def boltzmann_loss_term(loss: float, state: ExplorationState) -> float:
     EMA can never saturate to 1 even when tanh rounds up.
     """
     f = math.tanh(abs(state.alpha_scale * loss) / (2.0 * state.sigma))
-    return min(f, np.nextafter(1.0, 0.0))
+    return min(f, math.nextafter(1.0, 0.0))
 
 
 def update_exploration(state: ExplorationState, loss: float) -> ExplorationState:
@@ -109,10 +109,10 @@ def greedy_action(q_maps: dict, masks: dict) -> Action:
     return best
 
 
-def select_action(q_maps: dict, masks: dict, state: ExplorationState,
+def select_action(q_maps: dict, masks: dict, epsilon: float,
                   rng: np.random.Generator) -> Action:
     """Epsilon-gated choice between a uniform draw over valid entries and
     the greedy argmax. The returned action carries the Q at its entry."""
-    if float(rng.random()) < state.epsilon:
+    if float(rng.random()) < epsilon:
         return _uniform_valid(q_maps, masks, rng)
     return greedy_action(q_maps, masks)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridsim import Action, Observation, Primitive, PRIMITIVE_ORDER, theta_radians
+from .gridsim import (Action, ConfigError, Observation, Primitive,
+                      PRIMITIVE_ORDER, check_value, theta_radians)
 from .reward import RewardMap
 
 N_CONTEXT_CHANNELS = 3
@@ -37,7 +38,7 @@ class TrainingDivergence(RuntimeError):
     """Loss or parameters became non-finite."""
 
 
-class CheckpointError(ValueError):
+class CheckpointError(ConfigError):
     """A checkpoint file is malformed, truncated or holds non-finite weights."""
 
 
@@ -379,13 +380,22 @@ def build_target_map(reward_map: RewardMap, action: Action, y: float):
     return np.zeros_like(reward_map.grid)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainHyper:
     lr: float = 0.03
     momentum: float = 0.9
     gamma: float = 0.5
     loss_alpha: float = 1.0
     loss_scale: float = 1.0
+
+    def __post_init__(self):
+        check_value("network.lr", self.lr, self.lr > 0, "> 0")
+        check_value("network.momentum", self.momentum,
+                    0 <= self.momentum < 1, "in [0, 1)")
+        check_value("network.gamma", self.gamma, 0 <= self.gamma <= 1,
+                    "in [0, 1]")
+        check_value("network.loss_scale", self.loss_scale,
+                    self.loss_scale > 0, "> 0")
 
 
 def transition_loss(net: QNetwork, tr, hp: TrainHyper):

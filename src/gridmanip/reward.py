@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridsim import Primitive
+from .gridsim import ConfigError, Primitive
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewardParams:
     weights: dict = field(default_factory=lambda: {
         Primitive.PUSH: 0.5,
@@ -34,11 +34,11 @@ class RewardParams:
         """Kernel half-width in cells."""
         return math.ceil(3.0 * self.sigma_x)
 
-    def validate(self):
+    def __post_init__(self):
         if any(w <= 0 for w in self.weights.values()):
-            raise ValueError("primitive weights must be positive")
+            raise ConfigError("primitive weights must be positive")
         if self.sigma_y <= 0 or self.anisotropy <= 0:
-            raise ValueError("sigma_y and anisotropy must be positive")
+            raise ConfigError("sigma_y and anisotropy must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,27 +85,6 @@ def gaussian_kernel(theta: float, params: RewardParams) -> np.ndarray:
     return norm * np.exp(-(xr ** 2 / (2.0 * sx ** 2) + yr ** 2 / (2.0 * sy ** 2)))
 
 
-def convolve_same(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Zero-padded sliding-window 2D convolution, output sized like ``grid``.
-
-    True convolution (kernel flipped), accumulated offset by offset; no FFT.
-    """
-    kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError("kernel dimensions must be odd")
-    h, w = grid.shape
-    ky, kx = kh // 2, kw // 2
-    padded = np.zeros((h + 2 * ky, w + 2 * kx), dtype=np.float64)
-    padded[ky:ky + h, kx:kx + w] = grid
-    out = np.zeros((h, w), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            # out[y, x] += kernel[i, j] * grid[y - (i - ky), x - (j - kx)]
-            out += kernel[i, j] * padded[ky - (i - ky):ky - (i - ky) + h,
-                                         kx - (j - kx):kx - (j - kx) + w]
-    return out
-
-
 def _spike(value, x, y, shape):
     grid = np.zeros(shape, dtype=np.float64)
     grid[y, x] = value
@@ -116,7 +95,7 @@ _KERNEL_CACHE = {}
 
 
 def _cached_kernel(theta, params):
-    # RewardParams is mutable, so the key holds every number the kernel uses.
+    # The kernel depends on theta and the Gaussian's widths alone.
     key = (theta, params.sigma_x, params.sigma_y, params.truncation)
     kernel = _KERNEL_CACHE.get(key)
     if kernel is None:
@@ -130,7 +109,8 @@ def tpg_reward_map(r_tp: float, pose, params: RewardParams, shape) -> RewardMap:
 
     ``pose`` is (x, y, theta_radians) of the executed action. Convolving a
     one-pixel spike pastes ``r_tp`` times the kernel around the pixel; adding
-    the paste onto zeros keeps convolve_same's bits (0.0 + -0.0 is +0.0).
+    the paste onto zeros keeps a zero-padded convolution's bits (0.0 + -0.0
+    is +0.0).
     """
     if r_tp < 0:
         raise ValueError("shaped reward must be nonnegative")

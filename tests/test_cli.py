@@ -71,8 +71,7 @@ class TestConfigModule:
         values = config_mod.default_config()
         text = config_mod.config_text(values)
         assert "[task]" in text and "[replay]" in text
-        cfg = config_mod.build_run_config(values)
-        cfg.validate()
+        config_mod.build_run_config(values)
 
     def test_default_ini_matches_table(self):
         parser = configparser.ConfigParser(interpolation=None)
@@ -186,6 +185,15 @@ class TestTrainCommand:
         assert {"insert_index", "priority", "primitive", "r_t",
                 "r_next"} <= record.keys()
 
+    def test_run_log_epsilon_is_a_plain_float(self, tmp_path):
+        # A tiny sigma saturates the loss transform at its clamp; epsilon
+        # must stay a Python float, or run.log prints np.float64(...).
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(DEFAULT_INI), "--out", str(out),
+                     "--set", "policy.sigma=0.0001",
+                     "--set", "run.train_steps=60"]) == 0
+        assert "np." not in (out / "run.log").read_text()
+
     def test_missing_config_exit_one(self, capsys):
         assert main(["train"]) == 1
         assert "config" in capsys.readouterr().err
@@ -287,6 +295,19 @@ class TestEvalCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rotations", [2, 8])
+    def test_rotation_mismatch_exit_one_before_work(self, clutter_cfg, tmp_path,
+                                                    capsys, rotations):
+        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        ckpt = tmp_path / "four.bin"
+        save_checkpoint(ckpt, net, (7, 7))
+        out = tmp_path / "x"
+        assert main(["eval", "--config", str(clutter_cfg), "--out", str(out),
+                     "--checkpoint", str(ckpt),
+                     "--set", f"task.rotations={rotations}"]) == 1
+        assert "task.rotations" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_byte_identical(self, clutter_cfg, tmp_path):
         train_out = tmp_path / "t"
         main(["train", "--config", str(clutter_cfg), "--out", str(train_out)])
@@ -375,6 +396,25 @@ class TestInspectCommand:
         grid = np.loadtxt(out / "reward_map.csv", delimiter=",")
         assert grid.shape == (7, 7)
         assert grid[3, 3] == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("arg", [
+        "--dump-reward-map=-1,0,0,1.0",     # off the 7x7 grid, left
+        "--dump-reward-map=7,0,0,1.0",      # off the 7x7 grid, right
+        "--dump-reward-map=0,0,4,1.0",      # theta_index >= task.rotations
+        "--dump-reward-map=0,0,0,-1",       # negative reward
+        "--dump-reward-map=0,0,0,nan",
+        "--dump-qmap=nope",
+    ])
+    def test_bad_argument_exit_one_before_work(self, tiny_cfg, tmp_path,
+                                               capsys, arg):
+        net = QNetwork.init(np.random.default_rng(1), 6, 16, 4)
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, net, (7, 7))
+        out = tmp_path / "dump"
+        assert main(["inspect", str(ckpt), "--config", str(tiny_cfg),
+                     "--out", str(out), arg]) == 1
+        assert arg.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dump_qmap(self, tiny_cfg, tmp_path):
         net = QNetwork.init(np.random.default_rng(1), 6, 16, 4)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gridmanip import gridsim
-from gridmanip.gridsim import (PRIMITIVE_ORDER, Action, ConfigurationError,
+from gridmanip.gridsim import (PRIMITIVE_ORDER, Action, ConfigError,
                                ContractViolation, DoneReason, Primitive,
                                TaskConfig, TaskKind)
 
@@ -36,7 +36,7 @@ class TestReset:
         assert ws.heights.max() == 1
 
     def test_grid_too_small_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             gridsim.reset(clutter_task(n=10, width=3, height=3), seed=0)
 
     def test_gripper_empty_and_streak_zero(self):
@@ -45,10 +45,10 @@ class TestReset:
         assert ws.failure_streak == 0
 
     def test_bad_goal_height_rejected(self):
-        with pytest.raises(ConfigurationError):
-            stacking_task(n=3, goal=5).validate()
-        with pytest.raises(ConfigurationError):
-            stacking_task(n=3, goal=1).validate()
+        with pytest.raises(ConfigError):
+            stacking_task(n=3, goal=5)
+        with pytest.raises(ConfigError):
+            stacking_task(n=3, goal=1)
 
     def test_max_steps_defaults_to_eight_per_block(self):
         assert clutter_task(n=10).max_steps == 80
@@ -391,7 +391,7 @@ class TestScripted:
         assert not ws.holding
 
     def test_layout_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             TaskConfig(kind=TaskKind.SCRIPTED_ARRANGEMENT, n_blocks=0,
                        width=4, height=5, layout=self.LAYOUT)
 
@@ -445,9 +445,14 @@ class TestMaskLoopOracle:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_masks_and_heights_equal_loop_version(self, h, w, rotations, kind,
                                                   holding, fill, seed):
+        if rotations not in (1, 2):
+            w = h       # a task that turns by 90 degrees has a square grid
+        assume(kind is TaskKind.CLUTTER_REMOVAL or h * w >= 2)
         rng = np.random.default_rng(seed)
         heights = (rng.random((h, w)) < fill) * rng.integers(1, 4, size=(h, w))
-        task = TaskConfig(kind=kind, n_blocks=int(heights.sum()), width=w,
+        # The workspace is built here, not by reset, so the task's block
+        # count only has to be one a task can hold.
+        task = TaskConfig(kind=kind, n_blocks=min(2, h * w), width=w,
                           height=h, goal_stack_height=2, rotations=rotations)
         ws = gridsim.Workspace(heights=heights, task=task, rng_seed=seed,
                                holding=holding)
@@ -472,6 +477,8 @@ def episodes(draw):
     h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     kind = draw(st.sampled_from(TaskKind))
     rotations = draw(st.sampled_from([1, 2, 4, 8]))
+    if rotations not in (1, 2):
+        w = h           # a task that turns by 90 degrees has a square grid
     common = dict(width=w, height=h, rotations=rotations,
                   allowed_primitives=draw(st.sets(
                       st.sampled_from(PRIMITIVE_ORDER), min_size=1)),

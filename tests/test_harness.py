@@ -4,6 +4,7 @@ import os
 import pickle
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -174,35 +175,45 @@ class TestTrain:
         assert report.episodes == [
             EpisodeSummary(end, 2, "no_valid_action", 0.0) for end in (2, 4, 6)]
 
+    # A bad part raises as soon as it is built, so parts are given as
+    # partials and built inside pytest.raises.
     @pytest.mark.parametrize("bad", [
         dict(replay_capacity=4),
         dict(replay_capacity=0),
         dict(rank_exponent=-0.7),
         dict(window=0),
         dict(hidden_channels=0),
-        dict(task=TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=4,
-                             goal_stack_height=2, width=8, height=7)),
+        dict(task=partial(TaskConfig, kind=TaskKind.BLOCK_STACKING, n_blocks=4,
+                          goal_stack_height=2, width=8, height=7)),
         dict(reward_kind="nope"),
         dict(exploration_kind="nope"),
-        dict(hyper=TrainHyper(loss_scale=0.0)),
-        dict(hyper=TrainHyper(lr=-1.0)),
-        dict(hyper=TrainHyper(momentum=1.5)),
-        dict(hyper=TrainHyper(gamma=-2.0)),
-        dict(task=TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=4,
-                             goal_stack_height=2, width=7, height=7,
-                             fail_limit=0)),
-        dict(task=TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=4,
-                             goal_stack_height=2, width=7, height=7,
-                             push_distance=0)),
+        dict(hyper=partial(TrainHyper, loss_scale=0.0)),
+        dict(hyper=partial(TrainHyper, lr=-1.0)),
+        dict(hyper=partial(TrainHyper, momentum=1.5)),
+        dict(hyper=partial(TrainHyper, gamma=-2.0)),
+        dict(task=partial(TaskConfig, kind=TaskKind.BLOCK_STACKING, n_blocks=4,
+                          goal_stack_height=2, width=7, height=7,
+                          fail_limit=0)),
+        dict(task=partial(TaskConfig, kind=TaskKind.BLOCK_STACKING, n_blocks=4,
+                          goal_stack_height=2, width=7, height=7,
+                          push_distance=0)),
         dict(decay_rate=1.5),
         dict(decay_floor=0.9),
         dict(checkpoint_every=-5),
     ])
     def test_out_of_range_run_config_rejected(self, bad):
+        def built():
+            return {k: v() if callable(v) else v for k, v in bad.items()}
         with pytest.raises(ValueError):
-            small_config(**bad).validate()
+            small_config(**built())
         with pytest.raises(ValueError):
-            train(small_config(**bad))
+            train(small_config(**built()))
+
+    def test_decay_schedule_may_reach_epsilon_one(self):
+        # decay_floor + decay_span == 1 is a valid schedule that starts at 1.
+        cfg = small_config(exploration_kind="decay", decay_floor=0.6,
+                           decay_span=0.4, train_steps=5)
+        assert train(cfg).records[0].epsilon == 1.0
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):

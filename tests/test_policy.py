@@ -89,9 +89,9 @@ class TestExplorationUpdate:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExplorationState(epsilon=1.0).validate()
+            ExplorationState(epsilon=1.0)
         with pytest.raises(ValueError):
-            ExplorationState(sigma=0.0).validate()
+            ExplorationState(sigma=0.0)
 
 
 class TestDecaySchedule:
@@ -174,7 +174,7 @@ class TestSelect:
             if not any(m.any() for m in masks.values()):
                 continue
             state = ExplorationState(epsilon=0.0)
-            a = select_action(q, masks, state, rng)
+            a = select_action(q, masks, state.epsilon, rng)
             g = greedy_action(q, masks)
             assert (a.primitive, a.theta_index, a.x, a.y) == \
                 (g.primitive, g.theta_index, g.x, g.y)
@@ -186,7 +186,7 @@ class TestSelect:
         rng = np.random.default_rng(0)
         state = ExplorationState(epsilon=np.nextafter(1.0, 0.0))
         for _ in range(20):
-            a = select_action(q, masks, state, rng)
+            a = select_action(q, masks, state.epsilon, rng)
             assert (a.primitive, a.x, a.y) == (Primitive.PICK, 2, 1)
 
     def test_uniform_frequencies_four_candidates(self):
@@ -202,7 +202,7 @@ class TestSelect:
         counts = {c: 0 for c in cells}
         n = 100_000
         for _ in range(n):
-            a = select_action(q, masks, state, rng)
+            a = select_action(q, masks, state.epsilon, rng)
             counts[(a.x, a.y)] += 1
         for c in cells:
             assert abs(counts[c] / n - 0.25) < 0.01
@@ -211,7 +211,7 @@ class TestSelect:
         rng = np.random.default_rng(9)
         q = _qmaps(rng)
         masks = _full_masks()
-        a = select_action(q, masks, ExplorationState(epsilon=0.7), rng)
+        a = select_action(q, masks, 0.7, rng)
         assert a.q_value == q[a.primitive][a.theta_index, a.y, a.x]
 
     def test_never_returns_invalid_pose(self):
@@ -226,7 +226,7 @@ class TestSelect:
             if not any(m.any() for m in masks.values()):
                 continue
             state = ExplorationState(epsilon=float(rng.random()))
-            a = select_action(q, masks, state, rng)
+            a = select_action(q, masks, state.epsilon, rng)
             assert masks[a.primitive][a.y, a.x]
             hits += 1
         assert hits > 90_000
@@ -236,6 +236,6 @@ class TestSelect:
         masks = {p: np.zeros((2, 2), dtype=bool) for p in PRIMITIVE_ORDER}
         rng = np.random.default_rng(0)
         with pytest.raises(NoValidActionError):
-            select_action(q, masks, ExplorationState(epsilon=1 - 1e-9), rng)
+            select_action(q, masks, 1 - 1e-9, rng)
         with pytest.raises(NoValidActionError):
-            select_action(q, masks, ExplorationState(epsilon=0.0), rng)
+            select_action(q, masks, 0.0, rng)

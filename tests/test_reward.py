@@ -5,11 +5,32 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridmanip.gridsim import Primitive
-from gridmanip.reward import (RewardParams, baseline_reward, convolve_same,
-                              gaussian_kernel, spike_reward_map, step_reward,
+from gridmanip.reward import (RewardParams, baseline_reward, gaussian_kernel,
+                              spike_reward_map, step_reward,
                               task_progress_reward, tpg_reward_map)
 
 UNIT_PARAMS = RewardParams(sigma_y=1.0)      # sigma_x = 2, truncation 6
+
+
+def convolve_same(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Zero-padded sliding-window 2D convolution, output sized like ``grid``.
+
+    True convolution (kernel flipped), accumulated offset by offset; no FFT.
+    """
+    kh, kw = kernel.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError("kernel dimensions must be odd")
+    h, w = grid.shape
+    ky, kx = kh // 2, kw // 2
+    padded = np.zeros((h + 2 * ky, w + 2 * kx), dtype=np.float64)
+    padded[ky:ky + h, kx:kx + w] = grid
+    out = np.zeros((h, w), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            # out[y, x] += kernel[i, j] * grid[y - (i - ky), x - (j - kx)]
+            out += kernel[i, j] * padded[ky - (i - ky):ky - (i - ky) + h,
+                                         kx - (j - kx):kx - (j - kx) + w]
+    return out
 
 
 class TestProgressReward:
@@ -45,11 +66,11 @@ class TestProgressReward:
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            RewardParams(sigma_y=-1).validate()
-        bad = RewardParams()
-        bad.weights[Primitive.PUSH] = 0.0
+            RewardParams(sigma_y=-1)
+        weights = dict(RewardParams().weights)
+        weights[Primitive.PUSH] = 0.0
         with pytest.raises(ValueError):
-            bad.validate()
+            RewardParams(weights=weights)
 
 
 class TestKernel:
@@ -201,9 +222,9 @@ class TestPastedKernelOracle:
         assert rmap.supervised_mask.tobytes() == mask.tobytes()
 
     def test_mutated_params_not_served_from_cache(self):
-        params = RewardParams(sigma_y=0.5)
-        before = tpg_reward_map(1.0, (4, 4, 0.0), params, (9, 9))
-        params.sigma_y = 1.0
+        before = tpg_reward_map(1.0, (4, 4, 0.0), RewardParams(sigma_y=0.5),
+                                (9, 9))
+        params = RewardParams(sigma_y=1.0)
         after = tpg_reward_map(1.0, (4, 4, 0.0), params, (9, 9))
         grid, _ = convolved_reward_map(1.0, (4, 4, 0.0), params, (9, 9))
         assert after.grid.tobytes() == grid.tobytes()
