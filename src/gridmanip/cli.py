@@ -132,12 +132,10 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_eval(args):
-    values = _load_effective_config(args)
-    cfg = config_mod.build_run_config(values)
-    if not args.checkpoint:
-        raise ConfigError("eval requires --checkpoint")
-    net, header = qfunc.load_checkpoint(args.checkpoint)
+def _load_checkpoint_for(cfg, path):
+    """The network in checkpoint ``path``; ConfigError unless its grid and
+    rotation count are those of ``cfg``'s task."""
+    net, header = qfunc.load_checkpoint(path)
     if (header["grid_height"], header["grid_width"]) != (cfg.task.height,
                                                          cfg.task.width):
         raise ConfigError(
@@ -147,6 +145,15 @@ def _cmd_eval(args):
         raise ConfigError(
             f"checkpoint has {header['rotations']} rotations but "
             f"task.rotations={cfg.task.rotations}")
+    return net
+
+
+def _cmd_eval(args):
+    values = _load_effective_config(args)
+    cfg = config_mod.build_run_config(values)
+    if not args.checkpoint:
+        raise ConfigError("eval requires --checkpoint")
+    net = _load_checkpoint_for(cfg, args.checkpoint)
     out_dir = _prepare_out(args.out or "out", config_mod.config_text(values))
     metrics = harness.evaluate(net, cfg)
     _write_metrics(out_dir / "metrics.csv", metrics, cfg.eval_runs)
@@ -209,7 +216,7 @@ def _cmd_inspect(args):
 def _dump_qmap(args):
     values = _load_effective_config(args)
     cfg = config_mod.build_run_config(values)
-    net, _ = qfunc.load_checkpoint(args.checkpoint)
+    net = _load_checkpoint_for(cfg, args.checkpoint)
     ws, obs = gridsim.reset(cfg.task, cfg.seed)
     ctx = PrevActionContext.initial(cfg.task.height, cfg.task.width)
     primitive = Primitive(args.dump_qmap)

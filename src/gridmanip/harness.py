@@ -85,7 +85,7 @@ class RunConfig:
         check_value("network.hidden_channels", self.hidden_channels,
                     self.hidden_channels >= 1, ">= 1")
         check_value("replay.rank_exponent", self.rank_exponent,
-                    self.rank_exponent >= 0, ">= 0")
+                    0 <= self.rank_exponent < math.inf, "finite and >= 0")
         check_value("run.window", self.window, self.window >= 1, ">= 1")
         check_value("run.checkpoint_every", self.checkpoint_every,
                     self.checkpoint_every >= 0,
@@ -315,14 +315,15 @@ def _learning_curves(cfg, records, episodes):
     success = np.full(n_windows, np.nan)
     efficiency = np.full(n_windows, np.nan)
     ideal = ideal_actions(cfg.task)
+    effs = [[] for _ in range(n_windows)]     # per window, in episode order
+    for ep in episodes:
+        if ep.done_reason == DoneReason.GOAL.value:
+            effs[ep.end_step // cfg.window].append(ideal / ep.actions)
     for k in range(n_windows):
         chunk = records[k * cfg.window:(k + 1) * cfg.window]
         success[k] = float(np.mean([r.success for r in chunk]))
-        effs = [ideal / ep.actions for ep in episodes
-                if ep.done_reason == DoneReason.GOAL.value
-                and k * cfg.window <= ep.end_step < (k + 1) * cfg.window]
-        if effs:
-            efficiency[k] = float(np.mean(effs))
+        if effs[k]:
+            efficiency[k] = float(np.mean(effs[k]))
     return success, efficiency
 
 

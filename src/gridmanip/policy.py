@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gridsim import Action, ConfigError, PRIMITIVE_ORDER
+from .gridsim import Action, ConfigError, PRIMITIVE_ORDER, check_value
 
 
 class NoValidActionError(RuntimeError):
@@ -30,8 +30,10 @@ class ExplorationState:
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0 and 0.0 <= self.beta < 1.0):
             raise ConfigError("epsilon and beta must lie in [0, 1)")
-        if self.sigma <= 0 or self.alpha_scale <= 0:
-            raise ConfigError("sigma and alpha_scale must be positive")
+        check_value("policy.sigma", self.sigma, 0 < self.sigma < math.inf,
+                    "finite and > 0")
+        check_value("policy.alpha_scale", self.alpha_scale,
+                    0 < self.alpha_scale < math.inf, "finite and > 0")
 
 
 def boltzmann_loss_term(loss: float, state: ExplorationState) -> float:

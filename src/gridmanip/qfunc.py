@@ -389,13 +389,16 @@ class TrainHyper:
     loss_scale: float = 1.0
 
     def __post_init__(self):
-        check_value("network.lr", self.lr, self.lr > 0, "> 0")
+        check_value("network.lr", self.lr, 0 < self.lr < math.inf,
+                    "finite and > 0")
         check_value("network.momentum", self.momentum,
                     0 <= self.momentum < 1, "in [0, 1)")
         check_value("network.gamma", self.gamma, 0 <= self.gamma <= 1,
                     "in [0, 1]")
         check_value("network.loss_scale", self.loss_scale,
-                    self.loss_scale > 0, "> 0")
+                    0 < self.loss_scale < math.inf, "finite and > 0")
+        check_value("network.loss_alpha", self.loss_alpha,
+                    math.isfinite(self.loss_alpha), "finite")
 
 
 def transition_loss(net: QNetwork, tr, hp: TrainHyper):

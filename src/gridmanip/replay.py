@@ -8,13 +8,27 @@ following step's reward arrives to complete its bootstrap target.
 The buffer owns every priority: they live in one preallocated float64 array
 kept in insertion order beside the list of transitions, which stay plain
 data. Eviction is oldest-first, so held insert indices are contiguous and a
-transition's slot is its insert index minus the oldest one's. Per call, with N items held and k drawn: ``sampleable_count``
-and ``finalize_pending`` are O(1); ``push`` is one array max plus, once
-full, one array shift; ``update_priorities`` is O(k); ``sample`` and
-``probabilities`` are one stable argsort of the priorities plus, for
-``sample``, k cumulative sums. None of them walks the transitions in Python.
+transition's slot is its insert index minus the oldest one's. Beside the
+priorities the buffer keeps every held item's rank order as a sorted array
+of complex keys ``-priority + 1j * insert_index``: NumPy orders complex
+numbers by real part, then imaginary part, so ascending keys are descending
+priorities with ties in insert order, and one ``searchsorted`` finds an
+item's exact place.
+
+Per call, with N items held and k drawn: ``sampleable_count`` and
+``finalize_pending`` are O(1); ``push`` reads the maximum at the head of the
+order and shifts the order once (twice once full, to evict);
+``update_priorities`` moves its k items in one batch of two ``searchsorted``
+calls and two masked copies of the order; ``sample`` and ``probabilities``
+scatter the rank law through the order, with no sort, and ``sample`` runs
+one full cumulative sum plus, per later draw, one over the tail from the
+item drawn last. None of them walks the transitions in Python. On a
+2-vCPU x86-64 VM with NumPy 2.4, one push, sample and update of k = 8 take
+about 0.15 ms together at N = 4000, 0.10 ms at N = 2000 and 0.07 ms at
+N = 50.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +73,8 @@ class ReplayBuffer:
         self.rank_exponent = rank_exponent
         self._items = []                          # oldest first
         self._priorities = np.empty(capacity)     # [i] belongs to _items[i]
+        # [:len] holds every item's key, ascending: the rank order
+        self._order = np.empty(capacity, dtype=complex)
         self._rank_law = (1.0 / np.arange(1, capacity + 1)) ** rank_exponent
         self._next_index = 0
 
@@ -81,25 +97,30 @@ class ReplayBuffer:
     def sampleable_count(self):
         return self._sampleable()
 
-    def _slot(self, insert_index):
-        """Array slot of a held insert index, or None once evicted."""
-        slot = insert_index - (self._next_index - len(self._items))
-        return slot if 0 <= slot < len(self._items) else None
-
     def push(self, transition: Transition):
         """Store with priority equal to the current maximum (1.0 if empty)."""
         if self.has_pending:
             raise ReplayError("previous transition still pending; finalize first")
         n = len(self._items)
-        priority = self._priorities[:n].max() if n else 1.0
+        order = self._order
+        priority = -order[0].real if n else 1.0
         if n == self.capacity:
-            self._items.pop(0)
+            evicted = self._items.pop(0)
+            pos = order[:n].searchsorted(complex(-self._priorities[0],
+                                                 evicted.insert_index))
+            order[pos:n - 1] = order[pos + 1:n]
             self._priorities[:-1] = self._priorities[1:]
             n -= 1
         transition.insert_index = self._next_index
         self._next_index += 1
         self._items.append(transition)
         self._priorities[n] = priority
+        # Ranks last among the items tied at the maximum: it is the newest.
+        key = complex(-priority, transition.insert_index)
+        pos = order[:n].searchsorted(key)
+        # A copy: NumPy shifts an overlapping slice rightwards element-wise.
+        order[pos + 1:n + 1] = order[pos:n].copy()
+        order[pos] = key
 
     def finalize_pending(self, r_next: float):
         """Attach the follow-up reward to the most recent transition."""
@@ -109,10 +130,14 @@ class ReplayBuffer:
 
     def _rank_weights(self, n):
         """(1/rank)^omega for the n oldest items, ranks by descending priority
-        then insert order (a stable sort of the insertion-ordered array)."""
-        order = np.argsort(-self._priorities[:n], kind="stable")
+        then insert order: the rank law scattered through the kept order."""
+        held = len(self._items)
+        slots = self._order[:held].imag.astype(np.intp)
+        slots -= self._next_index - held
+        if n < held:
+            slots = slots[slots < n]
         weights = np.empty(n)
-        weights[order] = self._rank_law[:n]
+        weights[slots] = self._rank_law[:n]
         return weights
 
     def probabilities(self):
@@ -128,21 +153,56 @@ class ReplayBuffer:
         if n < k:
             raise UnderfullError(f"need {k} sampleable transitions, have {n}")
         weights = self._rank_weights(n)
+        cdf = weights.cumsum()
         chosen = []
-        for _ in range(k):
-            cdf = np.cumsum(weights)
-            pos = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        # One call for k uniforms draws what k single calls would.
+        for draw, u in enumerate(rng.random(k)):
+            if draw:
+                # Zero the last drawn weight and re-accumulate the tail from
+                # its slot, which holds the sum before it meanwhile. A cumsum
+                # adds left to right, so cdf gets the bits of a full cumsum
+                # of the zeroed weights.
+                weights[pos] = cdf[pos - 1] if pos else 0.0
+                weights[pos:].cumsum(out=cdf[pos:])
+                weights[pos] = 0.0
+            pos = int(cdf.searchsorted(u * cdf[-1], side="right"))
             pos = min(pos, n - 1)
-            weights[pos] = 0.0
             chosen.append(self._items[pos])
         return chosen, [t.insert_index for t in chosen]
 
     def update_priorities(self, ids, losses):
-        """priority <- |loss| + floor; ids evicted in the meantime are skipped."""
+        """priority <- |loss| + floor; ids evicted in the meantime are skipped,
+        and of repeated ids the last wins. A non-finite loss has no rank: it
+        raises ReplayError before any priority changes."""
+        n = len(self._items)
+        oldest = self._next_index - n
+        latest = {}
         for insert_index, loss in zip(ids, losses):
-            slot = self._slot(insert_index)
-            if slot is not None:
-                self._priorities[slot] = abs(float(loss)) + PRIORITY_FLOOR
+            priority = abs(float(loss)) + PRIORITY_FLOOR
+            if not math.isfinite(priority):
+                raise ReplayError(f"non-finite loss {loss!r} for transition "
+                                  f"{insert_index}")
+            if oldest <= insert_index < self._next_index:
+                latest[insert_index] = priority
+        if not latest:
+            return
+        moved = np.fromiter(latest, np.intp, len(latest))
+        new = np.fromiter(latest.values(), float, len(latest))
+        slots = moved - oldest
+        order = self._order[:n]
+        # Lift the moved items' old keys out of the order, then merge their
+        # new keys back in among the rest: two masked copies, no sort of N.
+        keep = np.ones(n, dtype=bool)
+        keep[order.searchsorted(1j * moved - self._priorities[slots])] = False
+        rest = order[keep]
+        keys = 1j * moved - new
+        keys.sort()
+        at = rest.searchsorted(keys) + np.arange(len(keys))
+        keep = np.ones(n, dtype=bool)
+        keep[at] = False
+        order[keep] = rest
+        order[at] = keys
+        self._priorities[slots] = new
 
     def dump_records(self):
         """Plain-dict view of the buffer for post-hoc inspection."""

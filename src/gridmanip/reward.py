@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridsim import ConfigError, Primitive
+from .gridsim import Primitive, check_value
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,13 @@ class RewardParams:
         return math.ceil(3.0 * self.sigma_x)
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.weights.values()):
-            raise ConfigError("primitive weights must be positive")
-        if self.sigma_y <= 0 or self.anisotropy <= 0:
-            raise ConfigError("sigma_y and anisotropy must be positive")
+        for primitive, weight in self.weights.items():
+            check_value(f"reward.weight_{primitive.value}", weight,
+                        0 < weight < math.inf, "finite and > 0")
+        check_value("reward.sigma_y", self.sigma_y,
+                    0 < self.sigma_y < math.inf, "finite and > 0")
+        check_value("reward.anisotropy", self.anisotropy,
+                    0 < self.anisotropy < math.inf, "finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ class TestCriterion4ReplayLaw:
             t = Transition(observation=None, prev_action_context=None,
                            action=None, r_t=0.0, reward_map=None, r_next=0.0)
             buf.push(t)
-            buf._priorities[len(buf) - 1] = p
+            buf.update_priorities([t.insert_index], [p])
             items.append(t)
         probs = buf.probabilities()
         n = 1_000_000

@@ -129,6 +129,16 @@ class TestConfigModule:
         with pytest.raises(ConfigError, match="teleport"):
             config_mod.build_run_config(values)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        f"{section}.{key}" for section, keys in config_mod.SCHEMA.items()
+        for key, (_, kind) in keys.items() if kind is float])
+    def test_non_finite_float_rejected(self, key, bad):
+        values = config_mod.apply_overrides(config_mod.default_config(),
+                                            [f"{key}={bad}"])
+        with pytest.raises(ConfigError):
+            config_mod.build_run_config(values)
+
 
 class TestTrainCommand:
     def test_outputs_exist(self, tiny_cfg, tmp_path, capsys):
@@ -227,6 +237,19 @@ class TestTrainCommand:
         (f"{SCRIPTED_4X1} task.layout=....", "layout places no blocks"),
         (f"{SCRIPTED_4X1} task.n_blocks=3 task.layout=1...", "n_blocks=3"),
         ("task.layout=1x..", "task.layout"),
+        ("reward.weight_push=inf", "reward.weight_push"),
+        ("reward.weight_pick=nan", "reward.weight_pick"),
+        ("reward.weight_place=-inf", "reward.weight_place"),
+        ("reward.sigma_y=nan", "reward.sigma_y"),
+        ("reward.anisotropy=inf", "reward.anisotropy"),
+        ("policy.alpha_scale=nan", "policy.alpha_scale"),
+        ("policy.sigma=inf", "policy.sigma"),
+        ("network.loss_alpha=nan", "network.loss_alpha"),
+        ("network.loss_alpha=-inf", "network.loss_alpha"),
+        ("network.lr=inf", "network.lr"),
+        ("network.loss_scale=inf", "network.loss_scale"),
+        ("replay.rank_exponent=inf", "replay.rank_exponent"),
+        ("replay.rank_exponent=nan", "replay.rank_exponent"),
     ])
     def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                  capsys, override, named):
@@ -427,6 +450,22 @@ class TestInspectCommand:
         for r in range(4):
             grid = np.loadtxt(out / f"qmap_pick_r{r}.csv", delimiter=",")
             assert grid.shape == (7, 7)
+
+    @pytest.mark.parametrize("rotations, grid, named", [
+        (2, (10, 10), "task.rotations=4"),
+        (4, (7, 7), "does not match task 10x10"),
+    ])
+    def test_dump_qmap_mismatch_exit_one_before_work(self, tmp_path, capsys,
+                                                     rotations, grid, named):
+        net = QNetwork.init(np.random.default_rng(1), 6, 16, rotations)
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, net, grid)
+        out = tmp_path / "dump"
+        code = main(["inspect", str(ckpt), "--config", str(DEFAULT_INI),
+                     "--out", str(out), "--dump-qmap", "pick"])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.rglob("qmap_*.csv"))
 
 
 class TestSelftestCommand:

@@ -17,11 +17,13 @@ def make_transition(r_t=0.5, r_next=0.0):
                       action=action, r_t=r_t, reward_map=None, r_next=r_next)
 
 
-def filled_buffer(priorities, omega=1.0, capacity=100):
+def filled_buffer(losses, omega=1.0, capacity=100):
+    """Buffer whose i-th item has priority |losses[i]| + PRIORITY_FLOOR, set
+    through update_priorities so that the kept rank order follows."""
     buf = ReplayBuffer(capacity=capacity, rank_exponent=omega)
-    for p in priorities:
+    for loss in losses:
         buf.push(make_transition())
-        buf._priorities[len(buf) - 1] = p
+        buf.update_priorities([buf._items[-1].insert_index], [loss])
     return buf
 
 
@@ -36,7 +38,7 @@ class TestPushFinalize:
     def test_new_item_gets_max_priority(self):
         buf = filled_buffer([0.2, 3.0, 1.1])
         buf.push(make_transition())
-        assert buf.dump_records()[-1]["priority"] == 3.0
+        assert buf.dump_records()[-1]["priority"] == 3.0 + PRIORITY_FLOOR
 
     def test_eviction_oldest_first(self):
         buf = ReplayBuffer(capacity=3)
@@ -178,8 +180,19 @@ class TestPriorities:
         buf = filled_buffer([4.0, 2.0, 1.0])
         target = buf._items[1]
         buf.update_priorities([target.insert_index], [0.5])
-        assert buf._priorities[0] == 4.0
-        assert buf._priorities[2] == 1.0
+        assert buf._priorities[0] == 4.0 + PRIORITY_FLOOR
+        assert buf._priorities[2] == 1.0 + PRIORITY_FLOOR
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_rejected_before_any_change(self, bad):
+        buf = filled_buffer([4.0, 2.0, 1.0])
+        ids = [t.insert_index for t in buf._items]
+        before = buf._priorities[:len(buf)].copy()
+        probs = buf.probabilities()
+        with pytest.raises(ReplayError, match="non-finite"):
+            buf.update_priorities(ids, [0.5, bad, 3.0])
+        assert buf._priorities[:len(buf)].tobytes() == before.tobytes()
+        assert buf.probabilities().tobytes() == probs.tobytes()
 
     def test_larger_loss_weakly_higher_rank(self):
         buf = filled_buffer([1.0, 1.0, 1.0], omega=1.0)
@@ -395,3 +408,68 @@ class TestListOracleEquivalence:
             assert new._priorities[:len(new)].tolist() == \
                 [t.priority for t in ref._items]
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+# Reference: the array buffer before it kept its rank order. It ranked by a
+# stable argsort of the insertion-ordered priorities on every call and ran a
+# full cumsum before every draw.
+
+def _argsort_rank_weights(priorities, n, omega):
+    order = np.argsort(-priorities[:n], kind="stable")
+    weights = np.empty(n)
+    weights[order] = (1.0 / np.arange(1, n + 1)) ** omega
+    return weights
+
+
+def _full_cumsum_sample(items, weights, k, rng):
+    n = len(weights)
+    chosen = []
+    for _ in range(k):
+        cdf = np.cumsum(weights)
+        pos = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        pos = min(pos, n - 1)
+        weights[pos] = 0.0
+        chosen.append(items[pos].insert_index)
+    return chosen
+
+
+class TestKeptOrderMatchesArgsort:
+    @pytest.mark.parametrize("capacity, seed", [(200, 0), (347, 1), (500, 2)])
+    def test_churn_at_scale(self, capacity, seed):
+        omega = 0.7
+        rng = np.random.default_rng(seed)         # drives the churn
+        draw_rng = np.random.default_rng(seed + 100)
+        ref_rng = np.random.default_rng(seed + 100)
+        buf = ReplayBuffer(capacity=capacity, rank_exponent=omega)
+        # Mostly repeated values, 0.0 among them (priority PRIORITY_FLOOR),
+        # so that many priorities tie.
+        tie_losses = np.array([0.0, 0.0, 0.25, 1.0, 1.0, 3.5])
+        for step in range(3 * capacity):
+            if buf.has_pending:
+                buf.finalize_pending(0.0)
+            buf.push(make_transition(r_next=None if step % 7 else 0.0))
+            n = buf.sampleable_count()
+            for m in {n, len(buf)}:
+                assert buf._rank_weights(m).tobytes() == _argsort_rank_weights(
+                    buf._priorities, m, omega).tobytes()
+            if n < 8:
+                continue
+            k = 1 + step % 8
+            expect = _full_cumsum_sample(
+                buf._items, _argsort_rank_weights(buf._priorities, n, omega),
+                k, ref_rng)
+            _, ids = buf.sample(k, draw_rng)
+            assert ids == expect
+            assert draw_rng.bit_generator.state == ref_rng.bit_generator.state
+            losses = np.where(rng.random(k) < 0.8, rng.choice(tie_losses, k),
+                              rng.normal(size=k))
+            oldest = buf._items[0].insert_index
+            # two stale ids, the newest item (pending on most steps), and a
+            # repeated id whose last loss wins
+            others = [oldest - 1 - int(rng.integers(5)),
+                      buf._next_index + int(rng.integers(5)),
+                      buf._next_index - 1, ids[0]]
+            buf.update_priorities(ids + others, np.concatenate(
+                [losses, [9.0, 9.0], rng.choice(tie_losses, 2)]))
+        assert len(buf) == capacity
+        assert buf._next_index > capacity           # evicted all along
