@@ -92,13 +92,14 @@ def _write_eval_log(path, metrics):
 
 
 def _load_effective_config(args):
+    """The config file plus overrides: (string values, typed RunConfig)."""
     if not args.config:
         raise ConfigError("a --config file is required")
     values = config_mod.load_config(args.config)
     config_mod.apply_overrides(values, args.set or [])
     if args.seed is not None:
         config_mod.apply_overrides(values, [f"run.seed={args.seed}"])
-    return values
+    return values, config_mod.build_run_config(values)
 
 
 def _prepare_out(out, text):
@@ -110,8 +111,7 @@ def _prepare_out(out, text):
 
 
 def _cmd_train(args):
-    values = _load_effective_config(args)
-    cfg = config_mod.build_run_config(values)
+    values, cfg = _load_effective_config(args)
     text = config_mod.config_text(values)
     out_dir = _prepare_out(args.out or "out", text)
 
@@ -149,8 +149,7 @@ def _load_checkpoint_for(cfg, path):
 
 
 def _cmd_eval(args):
-    values = _load_effective_config(args)
-    cfg = config_mod.build_run_config(values)
+    values, cfg = _load_effective_config(args)
     if not args.checkpoint:
         raise ConfigError("eval requires --checkpoint")
     net = _load_checkpoint_for(cfg, args.checkpoint)
@@ -165,8 +164,7 @@ def _cmd_eval(args):
 
 
 def _cmd_ablate(args):
-    values = _load_effective_config(args)
-    cfg = config_mod.build_run_config(values)
+    values, cfg = _load_effective_config(args)
     out_dir = _prepare_out(args.out or "out", config_mod.config_text(values))
     rows = []
 
@@ -203,8 +201,7 @@ def _cmd_inspect(args):
         raise ConfigError(f"--dump-qmap {args.dump_qmap!r} must be one of "
                           f"{', '.join(p.value for p in Primitive)}")
     header = qfunc.read_checkpoint_header(args.checkpoint)
-    for key in ("version", "rotations", "in_channels", "hidden_channels",
-                "grid_height", "grid_width", "config_hash"):
+    for key in (*qfunc.HEADER_FIELDS, "config_hash"):
         print(f"{key}: {header[key]}")
     for name, shape in header["arrays"]:
         print(f"array: {name} shape={'x'.join(map(str, shape))}")
@@ -214,13 +211,12 @@ def _cmd_inspect(args):
 
 
 def _dump_qmap(args):
-    values = _load_effective_config(args)
-    cfg = config_mod.build_run_config(values)
+    _, cfg = _load_effective_config(args)
     net = _load_checkpoint_for(cfg, args.checkpoint)
-    ws, obs = gridsim.reset(cfg.task, cfg.seed)
+    _, obs = gridsim.reset(cfg.task, cfg.seed)
     ctx = PrevActionContext.initial(cfg.task.height, cfg.task.width)
     primitive = Primitive(args.dump_qmap)
-    maps = qfunc.forward(net, obs, ctx, primitive)
+    maps = qfunc.forward_all(net, obs, ctx, [primitive])[primitive]
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for r in range(maps.shape[0]):
@@ -231,8 +227,7 @@ def _dump_qmap(args):
 
 
 def _dump_reward_map(args):
-    values = _load_effective_config(args)
-    cfg = config_mod.build_run_config(values)
+    _, cfg = _load_effective_config(args)
     task = cfg.task
     arg = f"--dump-reward-map {args.dump_reward_map}"
     try:

@@ -162,7 +162,8 @@ def build_run_config(values: dict) -> RunConfig:
     return RunConfig(
         task=TaskConfig(**typed["task"]),
         reward=RewardParams(weights=weights, **reward),
-        exploration=ExplorationState(epsilon=policy["epsilon_init"], **policy),
+        exploration=ExplorationState(epsilon=policy.pop("epsilon_init"),
+                                     **policy),
         hyper=TrainHyper(**network),
         reward_kind=reward_kind,
         exploration_kind=exploration_kind,

@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_PUSH_DISTANCE = 2
-DEFAULT_FAIL_LIMIT = 10
-
 
 class Primitive(enum.Enum):
     PUSH = "push"
@@ -74,8 +71,8 @@ class TaskConfig:
     goal_stack_height: int = 0
     allowed_primitives: tuple = PRIMITIVE_ORDER
     max_steps: int = 0          # 0 -> 8 * n_blocks
-    push_distance: int = DEFAULT_PUSH_DISTANCE
-    fail_limit: int = DEFAULT_FAIL_LIMIT
+    push_distance: int = 2
+    fail_limit: int = 10
     rotations: int = 4
     layout: str = ""            # scripted arrangements: digit grid, one char per cell
     # A scripted layout parsed once, when the task is built; its block count
@@ -145,7 +142,6 @@ class TaskConfig:
 class Workspace:
     heights: np.ndarray          # (task.height, task.width) ints: blocks per cell
     task: TaskConfig
-    rng_seed: int
     holding: bool = False        # the gripper holds a block (stacking tasks)
     removed: int = 0             # blocks picked out of the scene (removal tasks)
     step_count: int = 0
@@ -214,16 +210,15 @@ def reset(task: TaskConfig, seed: int):
         rng = np.random.default_rng(seed)
         heights.flat[rng.choice(task.width * task.height, size=task.n_blocks,
                                 replace=False)] = 1
-    ws = Workspace(heights=heights, task=task, rng_seed=seed)
+    ws = Workspace(heights=heights, task=task)
     return ws, render_observation(ws)
 
 
-def task_progress(ws: Workspace, task: TaskConfig | None = None) -> float:
+def task_progress(ws: Workspace) -> float:
     """Overall goal progress in [0, 1]."""
-    task = task or ws.task
-    if task.kind is TaskKind.BLOCK_STACKING:
-        return min(1.0, int(ws.heights.max()) / task.goal_stack_height)
-    return ws.removed / task.n_blocks
+    if ws.task.kind is TaskKind.BLOCK_STACKING:
+        return min(1.0, int(ws.heights.max()) / ws.task.goal_stack_height)
+    return ws.removed / ws.task.n_blocks
 
 
 def render_observation(ws: Workspace) -> Observation:

@@ -123,7 +123,6 @@ class EpisodeSummary:
     end_step: int
     actions: int
     done_reason: str
-    final_progress: float
 
 
 @dataclass
@@ -139,7 +138,6 @@ class TrainReport:
 
 @dataclass
 class EvalRun:
-    seed: int
     completed: bool
     done_reason: str
     actions: int
@@ -266,7 +264,7 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
             if buffer.has_pending:
                 buffer.finalize_pending(0.0)
             episodes.append(EpisodeSummary(step_i, ws.step_count,
-                                           "no_valid_action", prev_progress))
+                                           "no_valid_action"))
             continue
         after_dead_end = False
 
@@ -297,8 +295,7 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
             checkpoint_cb(step_i + 1, net)
         if result.done:
             episodes.append(EpisodeSummary(step_i, ws.step_count,
-                                           result.done_reason.value,
-                                           result.progress))
+                                           result.done_reason.value))
         step_i += 1
 
     success_curve, efficiency_curve = _learning_curves(cfg, records, episodes)
@@ -347,7 +344,7 @@ def _eval_run(net: QNetwork, task: TaskConfig, seed: int) -> EvalRun:
             records.append(_step_record(ws.step_count - 1, action, result))
     reason = "no_valid_action" if action is None else result.done_reason.value
     picks = [r.success for r in records if r.primitive == Primitive.PICK.value]
-    return EvalRun(seed=seed, completed=reason == DoneReason.GOAL.value,
+    return EvalRun(completed=reason == DoneReason.GOAL.value,
                    done_reason=reason, actions=ws.step_count,
                    picks_attempted=len(picks), picks_succeeded=sum(picks),
                    tallest_stack_picks=sum(tallest), records=records)

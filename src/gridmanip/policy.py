@@ -25,7 +25,6 @@ class ExplorationState:
     beta: float = 0.01
     sigma: float = 0.01          # inverse sensitivity of the loss transform
     alpha_scale: float = 1.0
-    epsilon_init: float = 0.9
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0 and 0.0 <= self.beta < 1.0):

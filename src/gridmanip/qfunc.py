@@ -13,6 +13,7 @@ explicit numpy; no autodiff anywhere.
 """
 
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -27,6 +28,10 @@ from .reward import RewardMap
 N_CONTEXT_CHANNELS = 3
 CHECKPOINT_MAGIC = b"GMQN"
 CHECKPOINT_VERSION = 1
+# The checkpoint header's integer fields, in file and .meta order.
+HEADER_FIELDS = ("version", "rotations", "in_channels", "hidden_channels",
+                 "grid_height", "grid_width")
+_HEADER_INTS = struct.Struct(f"<{len(HEADER_FIELDS)}I")
 
 # Alpha windows where the robust loss must use its exact limit forms; the
 # general expression loses ~5e-4 of absolute accuracy per 1e-6 of |alpha-2|.
@@ -172,6 +177,14 @@ def _hidden_index(c, h, w):
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
+def _param_shapes(in_channels, hidden):
+    """Each stack parameter's shape, in _PARAM_NAMES order."""
+    return dict(zip(_PARAM_NAMES, (
+        (hidden, in_channels, 3, 3), (hidden,),
+        (hidden, hidden, 3, 3), (hidden,),
+        (1, hidden, 1, 1), (1,))))
+
+
 @dataclass
 class ConvStack:
     """Three-layer map from stacked input channels to one Q grid."""
@@ -185,18 +198,13 @@ class ConvStack:
 
     @classmethod
     def init(cls, rng, in_channels, hidden):
-        def uniform(shape, fan_in):
-            bound = 1.0 / math.sqrt(fan_in)
+        def uniform(shape):
+            bound = 1.0 / math.sqrt(math.prod(shape[1:]))     # 1/sqrt(fan in)
             return rng.uniform(-bound, bound, size=shape)
 
-        return cls(
-            w1=uniform((hidden, in_channels, 3, 3), in_channels * 9),
-            b1=np.zeros(hidden),
-            w2=uniform((hidden, hidden, 3, 3), hidden * 9),
-            b2=np.zeros(hidden),
-            w3=uniform((1, hidden, 1, 1), hidden),
-            b3=np.zeros(1),
-        )
+        shapes = _param_shapes(in_channels, hidden)
+        return cls(**{name: np.zeros(shape) if name.startswith("b")
+                      else uniform(shape) for name, shape in shapes.items()})
 
     def params(self):
         return {name: getattr(self, name) for name in _PARAM_NAMES}
@@ -317,20 +325,12 @@ def forward_rotation(net: QNetwork, x: np.ndarray, shape, primitive: Primitive,
     return rotate_grid(q.reshape(shape), theta), cache, theta
 
 
-def _rotation_maps(net, x, shape, primitive):
-    return np.stack([forward_rotation(net, x, shape, primitive, r)[0]
-                     for r in range(net.rotations)])
-
-
-def forward(net: QNetwork, obs: Observation, ctx: PrevActionContext,
-            primitive: Primitive) -> np.ndarray:
-    """Full (rotations, h, w) Q-map set for one primitive."""
-    return _rotation_maps(net, stack_input(obs, ctx), obs.shape, primitive)
-
-
 def forward_all(net: QNetwork, obs, ctx, primitives) -> dict:
+    """Primitive -> full (rotations, h, w) Q-map set, for each primitive."""
     x = stack_input(obs, ctx)
-    return {prim: _rotation_maps(net, x, obs.shape, prim) for prim in primitives}
+    return {prim: np.stack([forward_rotation(net, x, obs.shape, prim, r)[0]
+                            for r in range(net.rotations)])
+            for prim in primitives}
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +478,12 @@ def config_hash(text: str) -> str:
 def save_checkpoint(path, net: QNetwork, grid_shape, cfg_hash: str = ""):
     """Binary header + parameter arrays (little-endian float64, declared
     order), mirrored by a ``<path>.meta`` text sidecar."""
-    h, w = grid_shape
+    values = (CHECKPOINT_VERSION, net.rotations, net.in_channels,
+              net.hidden_channels, *grid_shape)
     arrays = net.param_arrays()
     digest = bytes.fromhex(cfg_hash) if cfg_hash else b"\x00" * 32
     header = [CHECKPOINT_MAGIC,
-              struct.pack("<6I", CHECKPOINT_VERSION, net.rotations,
-                          net.in_channels, net.hidden_channels, h, w),
+              _HEADER_INTS.pack(*values),
               digest,
               struct.pack("<I", len(arrays))]
     for name, arr in arrays:
@@ -494,13 +494,8 @@ def save_checkpoint(path, net: QNetwork, grid_shape, cfg_hash: str = ""):
         header.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
     data = b"".join(header) + b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
-    meta = [f"version={CHECKPOINT_VERSION}",
-            f"rotations={net.rotations}",
-            f"in_channels={net.in_channels}",
-            f"hidden_channels={net.hidden_channels}",
-            f"grid_height={h}",
-            f"grid_width={w}",
-            f"config_hash={cfg_hash or '0' * 64}"]
+    meta = [f"{key}={value}" for key, value in zip(HEADER_FIELDS, values)]
+    meta.append(f"config_hash={cfg_hash or '0' * 64}")
     meta += [f"array={name} {','.join(map(str, arr.shape))}"
              for name, arr in arrays]
     _write_replacing({path: data,
@@ -535,8 +530,8 @@ def read_checkpoint_header(path):
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint file")
         try:
-            version, rotations, c_in, hidden, h, w = struct.unpack(
-                "<6I", fh.read(24))
+            fields = dict(zip(HEADER_FIELDS,
+                              _HEADER_INTS.unpack(fh.read(_HEADER_INTS.size))))
             digest = fh.read(32).hex()
             (n_arrays,) = struct.unpack("<I", fh.read(4))
             arrays = []
@@ -549,24 +544,30 @@ def read_checkpoint_header(path):
         except (struct.error, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
         offset = fh.tell()
-    return {"version": version, "rotations": rotations, "in_channels": c_in,
-            "hidden_channels": hidden, "grid_height": h, "grid_width": w,
-            "config_hash": digest, "arrays": arrays, "data_offset": offset}
+    return {**fields, "config_hash": digest, "arrays": arrays,
+            "data_offset": offset}
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back, rejecting another version, other arrays,
-    missing or trailing data, and non-finite weights with CheckpointError."""
+    """Read a checkpoint back, rejecting another version or input channel
+    count, arrays other than the header's channel counts imply, missing or
+    trailing data, and non-finite weights with CheckpointError."""
     header = read_checkpoint_header(path)
     if header["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: version {header['version']}, "
                               f"expected {CHECKPOINT_VERSION}")
-    names = [name for name, _ in header["arrays"]]
-    expected = [f"{prim.value}.{pname}" for prim in PRIMITIVE_ORDER
-                for pname in _PARAM_NAMES]
-    if names != expected:
-        raise CheckpointError(f"{path}: arrays {', '.join(names)}, expected "
-                              f"{', '.join(expected)}")
+    # The network reads the observation's 3 channels and the context's.
+    c_in, hidden = header["in_channels"], header["hidden_channels"]
+    if c_in != 3 + N_CONTEXT_CHANNELS or hidden < 1:
+        raise CheckpointError(
+            f"{path}: in_channels={c_in}, hidden_channels={hidden}; expected "
+            f"in_channels={3 + N_CONTEXT_CHANNELS} and hidden_channels >= 1")
+    expected = [(f"{prim.value}.{pname}", shape) for prim in PRIMITIVE_ORDER
+                for pname, shape in _param_shapes(c_in, hidden).items()]
+    for got, want in itertools.zip_longest(header["arrays"], expected):
+        if got != want:
+            raise CheckpointError(f"{path}: array (name, shape) {got}, the "
+                                  f"header's channel counts imply {want}")
     counts = [math.prod(shape) for _, shape in header["arrays"]]
     with open(path, "rb") as fh:
         fh.seek(header["data_offset"])
@@ -574,8 +575,7 @@ def load_checkpoint(path):
     if len(data) != 8 * sum(counts):
         raise CheckpointError(f"{path}: {len(data)} bytes of array data, "
                               f"the header declares {8 * sum(counts)}")
-    net = QNetwork(stacks={}, in_channels=header["in_channels"],
-                   hidden_channels=header["hidden_channels"],
+    net = QNetwork(stacks={}, in_channels=c_in, hidden_channels=hidden,
                    rotations=header["rotations"])
     raw, offset = {}, 0
     for (name, shape), count in zip(header["arrays"], counts):

@@ -82,14 +82,6 @@ def _transition_loss(net, transition, hp):
     return float(np.mean(losses)), pattern
 
 
-def _transition_gradients(net, transition, hp):
-    """Analytic dLoss/dparams for one transition (no update applied)."""
-    _, saved = transition_loss(net, transition, hp)
-    grads = {}
-    transition_backward(net, transition, saved, grads)
-    return grads
-
-
 def random_transition(rng, h=6, w=6, rotations=4):
     """A synthetic finalized transition with smooth random inputs."""
     obs = Observation(channels=rng.uniform(0.0, 1.0, size=(3, h, w)))
@@ -135,7 +127,8 @@ def gradient_check(n_draws=100, coords_per_draw=40, h=6, w=6, seed=20240502,
         net = QNetwork.init(rng, in_channels=6, hidden_channels=hidden,
                             rotations=4)
         tr = random_transition(rng, h=h, w=w)
-        grads = _transition_gradients(net, tr, hp)
+        grads = {}      # analytic dLoss/dparams; no update is applied
+        transition_backward(net, tr, transition_loss(net, tr, hp)[1], grads)
         stack = net.stacks[tr.action.primitive]
         for name in _PARAM_NAMES:
             arr = getattr(stack, name)

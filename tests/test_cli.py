@@ -195,6 +195,17 @@ class TestTrainCommand:
         assert {"insert_index", "priority", "primitive", "r_t",
                 "r_next"} <= record.keys()
 
+    def test_epsilon_init_is_the_first_epsilon(self, tiny_cfg, tmp_path):
+        values = config_mod.apply_overrides(config_mod.load_config(tiny_cfg),
+                                            ["policy.epsilon_init=0.3"])
+        assert config_mod.build_run_config(values).exploration.epsilon == 0.3
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out),
+                     "--set", "policy.epsilon_init=0.3",
+                     "--set", "run.train_steps=5"]) == 0
+        first = (out / "run.log").read_text().splitlines()[0]
+        assert " eps=0.3 " in first
+
     def test_run_log_epsilon_is_a_plain_float(self, tmp_path):
         # A tiny sigma saturates the loss transform at its clamp; epsilon
         # must stay a Python float, or run.log prints np.float64(...).
@@ -318,6 +329,24 @@ class TestEvalCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mismatch", ["narrow_pick_w1", "header_hidden"])
+    def test_array_shape_mismatch_exit_one_before_work(self, clutter_cfg,
+                                                       tmp_path, capsys,
+                                                       mismatch):
+        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        if mismatch == "narrow_pick_w1":
+            stack = net.stacks[Primitive.PICK]
+            stack.w1 = stack.w1[:, :5].copy()
+        else:
+            net.hidden_channels = 8
+        ckpt = tmp_path / "bad.bin"
+        save_checkpoint(ckpt, net, (7, 7))
+        out = tmp_path / "x"
+        assert main(["eval", "--config", str(clutter_cfg), "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 1
+        assert "channel counts imply" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("rotations", [2, 8])
     def test_rotation_mismatch_exit_one_before_work(self, clutter_cfg, tmp_path,
                                                     capsys, rotations):
@@ -401,6 +430,18 @@ class TestInspectCommand:
         assert "rotations: 4" in printed
         assert "config_hash: " + "cd" * 32 in printed
         assert "array: push.w1 shape=16x6x3x3" in printed
+
+    def test_header_lines_mirror_meta(self, tmp_path, capsys):
+        net = QNetwork.init(np.random.default_rng(1), 6, 16, 4)
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, net, (7, 9), cfg_hash="cd" * 32)
+        assert main(["inspect", str(ckpt)]) == 0
+        printed = capsys.readouterr().out.splitlines()[:7]
+        meta = (tmp_path / "ck.meta").read_text().splitlines()[:7]
+        assert printed == [line.replace("=", ": ", 1) for line in meta]
+        assert printed == ["version: 1", "rotations: 4", "in_channels: 6",
+                           "hidden_channels: 16", "grid_height: 7",
+                           "grid_width: 9", "config_hash: " + "cd" * 32]
 
     def test_missing_checkpoint_exit_one(self, capsys):
         assert main(["inspect"]) == 1

@@ -454,8 +454,7 @@ class TestMaskLoopOracle:
         # count only has to be one a task can hold.
         task = TaskConfig(kind=kind, n_blocks=min(2, h * w), width=w,
                           height=h, goal_stack_height=2, rotations=rotations)
-        ws = gridsim.Workspace(heights=heights, task=task, rng_seed=seed,
-                               holding=holding)
+        ws = gridsim.Workspace(heights=heights, task=task, holding=holding)
         for prim in Primitive:
             mask = gridsim.valid_action_mask(ws, prim)
             ref = loop_valid_action_mask(ws, prim)

@@ -130,7 +130,7 @@ class TestTrain:
         cfg2 = small_config(exploration_kind="lae", train_steps=5)
         report2 = train(cfg2)
         assert report2.records[0].epsilon == pytest.approx(
-            cfg2.exploration.epsilon_init)
+            cfg2.exploration.epsilon)
 
     def test_checkpoint_callback_cadence(self):
         seen = []
@@ -173,7 +173,7 @@ class TestTrain:
         assert [r.x for r in report.records] == [0, 2, 0, 2, 0, 2, 0]
         assert [r.step for r in report.records] == list(range(7))
         assert report.episodes == [
-            EpisodeSummary(end, 2, "no_valid_action", 0.0) for end in (2, 4, 6)]
+            EpisodeSummary(end, 2, "no_valid_action") for end in (2, 4, 6)]
 
     # A bad part raises as soon as it is built, so parts are given as
     # partials and built inside pytest.raises.

@@ -9,8 +9,7 @@ from gridmanip.policy import (ExplorationState, NoValidActionError,
                               boltzmann_loss_term, epsilon_greedy_decay,
                               greedy_action, select_action, update_exploration)
 
-STATE = ExplorationState(epsilon=0.5, beta=0.1, sigma=1.0, alpha_scale=1.0,
-                         epsilon_init=0.5)
+STATE = ExplorationState(epsilon=0.5, beta=0.1, sigma=1.0, alpha_scale=1.0)
 
 
 class TestBoltzmannTerm:
@@ -77,8 +76,7 @@ class TestExplorationUpdate:
 
     def test_other_fields_unchanged(self):
         state = update_exploration(STATE, 2.0)
-        assert (state.beta, state.sigma, state.alpha_scale,
-                state.epsilon_init) == (0.1, 1.0, 1.0, 0.5)
+        assert (state.beta, state.sigma, state.alpha_scale) == (0.1, 1.0, 1.0)
 
     @given(st.lists(st.floats(0, 1e6), max_size=60))
     def test_epsilon_stays_in_unit_interval(self, losses):

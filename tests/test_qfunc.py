@@ -11,7 +11,7 @@ from gridmanip import qfunc
 from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError,
                              PrevActionContext, QNetwork, TrainHyper,
                              TrainingDivergence, build_target_map,
-                             compute_target, forward, forward_all,
+                             compute_target, forward_all,
                              load_checkpoint, meta_path,
                              read_checkpoint_header, robust_loss, rotate_grid,
                              rotate_grid_grad, save_checkpoint, train_step)
@@ -370,6 +370,11 @@ class TestConvLayer:
         assert num == pytest.approx(db[0], rel=1e-5, abs=1e-8)
 
 
+def forward(net, obs, ctx, primitive):
+    """The (rotations, h, w) Q-map set of one primitive."""
+    return forward_all(net, obs, ctx, [primitive])[primitive]
+
+
 class TestForward:
     def test_zeroed_final_layer_gives_zero_maps(self):
         net = fresh_net(1)
@@ -632,6 +637,24 @@ class TestCheckpoint:
         save_checkpoint(path, fresh_net(16), (6, 6))
         raw = path.read_bytes()
         path.write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mismatch", ["narrow_pick_w1", "header_hidden",
+                                          "in_channels"])
+    def test_shapes_the_header_does_not_imply_rejected(self, tmp_path,
+                                                       mismatch):
+        if mismatch == "in_channels":
+            net = QNetwork.init(np.random.default_rng(19), in_channels=5)
+        else:
+            net = fresh_net(19)
+        if mismatch == "narrow_pick_w1":
+            stack = net.stacks[Primitive.PICK]
+            stack.w1 = stack.w1[:, :5].copy()
+        elif mismatch == "header_hidden":
+            net.hidden_channels = 8
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, net, (6, 6))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
