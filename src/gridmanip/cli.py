@@ -22,7 +22,7 @@ from . import config as config_mod
 from . import gridsim, harness, qfunc, selftest
 from .config import ConfigError
 from .gridsim import Primitive
-from .qfunc import PrevActionContext, TrainingDivergence
+from .qfunc import TrainingDivergence
 
 
 def _fmt(value):
@@ -133,8 +133,8 @@ def _cmd_train(args):
 
 
 def _load_checkpoint_for(cfg, path):
-    """The network in checkpoint ``path``; ConfigError unless its grid and
-    rotation count are those of ``cfg``'s task."""
+    """The network in checkpoint ``path``; ConfigError unless its grid,
+    rotation count and hidden channel count are those ``cfg`` sets."""
     net, header = qfunc.load_checkpoint(path)
     if (header["grid_height"], header["grid_width"]) != (cfg.task.height,
                                                          cfg.task.width):
@@ -145,6 +145,10 @@ def _load_checkpoint_for(cfg, path):
         raise ConfigError(
             f"checkpoint has {header['rotations']} rotations but "
             f"task.rotations={cfg.task.rotations}")
+    if header["hidden_channels"] != cfg.hidden_channels:
+        raise ConfigError(
+            f"checkpoint has {header['hidden_channels']} hidden channels but "
+            f"network.hidden_channels={cfg.hidden_channels}")
     return net
 
 
@@ -214,9 +218,8 @@ def _dump_qmap(args):
     _, cfg = _load_effective_config(args)
     net = _load_checkpoint_for(cfg, args.checkpoint)
     _, obs = gridsim.reset(cfg.task, cfg.seed)
-    ctx = PrevActionContext.initial(cfg.task.height, cfg.task.width)
     primitive = Primitive(args.dump_qmap)
-    maps = qfunc.forward_all(net, obs, ctx, [primitive])[primitive]
+    maps = qfunc.forward_all(net, obs, None, [primitive])[primitive]
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for r in range(maps.shape[0]):

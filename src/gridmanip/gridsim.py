@@ -86,6 +86,10 @@ class TaskConfig:
                 p for p in PRIMITIVE_ORDER if p in self.allowed_primitives))
         if not self.allowed_primitives:
             raise ConfigError("allowed_primitives must be nonempty")
+        if self.allowed_primitives == (Primitive.PLACE,):
+            raise ConfigError(
+                "task.allowed_primitives=place can never act: every task "
+                "starts with an empty gripper; allow push or pick too")
         if self.width < 1 or self.height < 1:
             raise ConfigError("grid dimensions must be positive")
         if self.rotations < 1:
@@ -116,6 +120,11 @@ class TaskConfig:
                     f"layout places {total} blocks but n_blocks={self.n_blocks}")
             object.__setattr__(self, "layout_heights", heights)
             object.__setattr__(self, "n_blocks", total)
+        elif self.n_blocks < 1:
+            raise ConfigError(
+                f"task.n_blocks={self.n_blocks} must be >= 1 for task.kind="
+                f"{self.kind.value} (0 takes the count from the layout only "
+                "for scripted_arrangement)")
         elif self.n_blocks > self.width * self.height:
             raise ConfigError(
                 f"grid {self.width}x{self.height} too small for {self.n_blocks} blocks")

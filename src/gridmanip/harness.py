@@ -24,8 +24,7 @@ from .gridsim import (ConfigError, DoneReason, Primitive, TaskConfig,
                       TaskKind, check_value, theta_radians, valid_action_mask)
 from .policy import (ExplorationState, NoValidActionError, epsilon_greedy_decay,
                      greedy_action, select_action, update_exploration)
-from .qfunc import (PrevActionContext, QNetwork, TrainHyper, compute_target,
-                    forward_all, train_step)
+from .qfunc import QNetwork, TrainHyper, compute_target, forward_all, train_step
 from .replay import ReplayBuffer, Transition
 from .reward import (RewardParams, baseline_reward, spike_reward_map,
                      step_reward, tpg_reward_map)
@@ -164,7 +163,7 @@ def ideal_actions(task: TaskConfig) -> int:
 
 def _fresh_network(cfg: RunConfig) -> QNetwork:
     rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_INIT))
-    return QNetwork.init(rng, in_channels=6, hidden_channels=cfg.hidden_channels,
+    return QNetwork.init(rng, hidden_channels=cfg.hidden_channels,
                          rotations=cfg.task.rotations)
 
 
@@ -186,27 +185,26 @@ def _play(net, task: TaskConfig, seeds, choose):
     For each seed: reset the world, then step until the episode ends. A step
     builds the validity masks, runs the Q maps of the primitives with a valid
     pose, picks an action with ``choose(ws, q_maps, masks)`` and executes it.
-    Yields ``(ws, obs, ctx, progress, action, result)``, where obs, ctx and
-    progress are what the action was chosen from. A dead end (no valid pose,
-    or ``choose`` returns None) yields ``action = result = None`` and ends
-    the episode.
+    Yields ``(ws, obs, prev, progress, action, result)``, where obs, the
+    previous action ``prev`` (None at the episode's start) and progress are
+    what the action was chosen from. A dead end (no valid pose, or ``choose``
+    returns None) yields ``action = result = None`` and ends the episode.
     """
-    shape = (task.height, task.width)
     for seed in seeds:
         ws, obs = gridsim.reset(task, seed)
-        ctx = PrevActionContext.initial(*shape)
+        prev = None
         progress = gridsim.task_progress(ws)
         while True:
             masks = {p: valid_action_mask(ws, p) for p in task.allowed_primitives}
             actable = [p for p, m in masks.items() if m.any()]
-            action = (choose(ws, forward_all(net, obs, ctx, actable), masks)
+            action = (choose(ws, forward_all(net, obs, prev, actable), masks)
                       if actable else None)
             result = None if action is None else gridsim.step(ws, action)
-            yield ws, obs, ctx, progress, action, result
+            yield ws, obs, prev, progress, action, result
             if result is None or result.done:
                 break
             obs = result.next_observation
-            ctx = PrevActionContext.from_action(action, *shape)
+            prev = action
             progress = result.progress
 
 
@@ -254,7 +252,7 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
 
     while step_i < cfg.train_steps:
         eps = _exploration(cfg, lae, step_i)
-        ws, obs, ctx, prev_progress, action, result = next(steps)
+        ws, obs, prev, prev_progress, action, result = next(steps)
         if action is None:
             # Dead end (cannot occur in the stock tasks): drop the episode.
             if after_dead_end:
@@ -275,7 +273,7 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
             y_target = compute_target(buffer.pending_item().r_t, r_tp,
                                       cfg.hyper.gamma)
             buffer.finalize_pending(r_tp)
-        buffer.push(Transition(observation=obs, prev_action_context=ctx,
+        buffer.push(Transition(observation=obs, prev_action=prev,
                                action=action, r_t=r_tp, reward_map=rmap))
         if result.done:
             buffer.finalize_pending(0.0)

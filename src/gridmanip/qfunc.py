@@ -1,12 +1,12 @@
 """Pixel-wise Q approximator with hand-derived gradients.
 
 One small convolutional stack per primitive (3x3 -> 3x3 -> 1x1, ReLU between,
-zero 'same' padding) maps the observation channels plus a previous-action
-context to an h x w Q grid. Rotations are handled by counter-rotating the
-input, running the stack, and rotating the output back; rotation is a cached
-nearest-neighbour gather, exact for multiples of 90 degrees on square grids,
-so its gradient is the matching scatter-add. The input counter-rotation is
-folded into conv1's cached patch gather.
+zero 'same' padding) maps the observation channels plus the previous action's
+Q prediction at its pose to an h x w Q grid. Rotations are handled by
+counter-rotating the input, running the stack, and rotating the output back;
+rotation is a cached nearest-neighbour gather, exact for multiples of 90
+degrees on square grids, so its gradient is the matching scatter-add. The
+input counter-rotation is folded into conv1's cached patch gather.
 
 Forward, backward, the robust training loss and SGD-with-momentum are all
 explicit numpy; no autodiff anywhere.
@@ -26,6 +26,9 @@ from .gridsim import (Action, ConfigError, Observation, Primitive,
 from .reward import RewardMap
 
 N_CONTEXT_CHANNELS = 3
+# conv1 reads the observation's 3 channels, then one context channel per
+# primitive.
+IN_CHANNELS = 3 + N_CONTEXT_CHANNELS
 CHECKPOINT_MAGIC = b"GMQN"
 CHECKPOINT_VERSION = 1
 # The checkpoint header's integer fields, in file and .meta order.
@@ -264,24 +267,6 @@ class ConvStack:
             getattr(self, name)[...] -= lr * v
 
 
-@dataclass(frozen=True)
-class PrevActionContext:
-    """Sparse conditioning channels: the previous action's Q at its pose, in
-    the channel of its primitive; all zero at the start of an episode."""
-    channels: np.ndarray         # (3, h, w)
-
-    @classmethod
-    def initial(cls, h, w):
-        return cls(channels=np.zeros((N_CONTEXT_CHANNELS, h, w)))
-
-    @classmethod
-    def from_action(cls, action: Action, h, w):
-        channels = np.zeros((N_CONTEXT_CHANNELS, h, w))
-        channels[PRIMITIVE_ORDER.index(action.primitive), action.y, action.x] = \
-            action.q_value
-        return cls(channels=channels)
-
-
 @dataclass
 class QNetwork:
     stacks: dict                 # Primitive -> ConvStack
@@ -290,7 +275,8 @@ class QNetwork:
     rotations: int
 
     @classmethod
-    def init(cls, rng, in_channels=6, hidden_channels=16, rotations=4):
+    def init(cls, rng, in_channels=IN_CHANNELS, hidden_channels=16,
+             rotations=4):
         stacks = {prim: ConvStack.init(rng, in_channels, hidden_channels)
                   for prim in PRIMITIVE_ORDER}
         return cls(stacks=stacks, in_channels=in_channels,
@@ -305,14 +291,20 @@ class QNetwork:
         return out
 
 
-_ZERO_SLOT = np.zeros(1)
-
-
-def stack_input(obs: Observation, ctx: PrevActionContext) -> np.ndarray:
-    """Observation then context channels, flattened, plus one trailing zero
-    that conv1's gather reads for padding and out-of-grid pixels."""
-    return np.concatenate((obs.channels.ravel(), ctx.channels.ravel(),
-                           _ZERO_SLOT))
+def stack_input(obs: Observation, prev_action: Action | None) -> np.ndarray:
+    """conv1's flat input: the observation channels; then one context channel
+    per primitive, in PRIMITIVE_ORDER, holding the previous action's Q at its
+    pose in its primitive's channel (all zero when ``prev_action`` is None, at
+    an episode's start); then one trailing zero that conv1's gather reads for
+    padding and out-of-grid pixels."""
+    h, w = obs.shape
+    x = np.zeros(IN_CHANNELS * h * w + 1)
+    x[:obs.channels.size] = obs.channels.ravel()
+    if prev_action is not None:
+        channel = 3 + PRIMITIVE_ORDER.index(prev_action.primitive)
+        x[(channel * h + prev_action.y) * w + prev_action.x] = \
+            prev_action.q_value
+    return x
 
 
 def forward_rotation(net: QNetwork, x: np.ndarray, shape, primitive: Primitive,
@@ -325,9 +317,9 @@ def forward_rotation(net: QNetwork, x: np.ndarray, shape, primitive: Primitive,
     return rotate_grid(q.reshape(shape), theta), cache, theta
 
 
-def forward_all(net: QNetwork, obs, ctx, primitives) -> dict:
+def forward_all(net: QNetwork, obs, prev_action, primitives) -> dict:
     """Primitive -> full (rotations, h, w) Q-map set, for each primitive."""
-    x = stack_input(obs, ctx)
+    x = stack_input(obs, prev_action)
     return {prim: np.stack([forward_rotation(net, x, obs.shape, prim, r)[0]
                             for r in range(net.rotations)])
             for prim in primitives}
@@ -408,7 +400,7 @@ def transition_loss(net: QNetwork, tr, hp: TrainHyper):
     Supervision covers only the executed primitive's map at the executed
     rotation, on the reward map's supervised pixels.
     """
-    x = stack_input(tr.observation, tr.prev_action_context)
+    x = stack_input(tr.observation, tr.prev_action)
     pred, cache, theta = forward_rotation(net, x, tr.observation.shape,
                                           tr.action.primitive,
                                           tr.action.theta_index)
@@ -556,12 +548,11 @@ def load_checkpoint(path):
     if header["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: version {header['version']}, "
                               f"expected {CHECKPOINT_VERSION}")
-    # The network reads the observation's 3 channels and the context's.
     c_in, hidden = header["in_channels"], header["hidden_channels"]
-    if c_in != 3 + N_CONTEXT_CHANNELS or hidden < 1:
+    if c_in != IN_CHANNELS or hidden < 1:
         raise CheckpointError(
             f"{path}: in_channels={c_in}, hidden_channels={hidden}; expected "
-            f"in_channels={3 + N_CONTEXT_CHANNELS} and hidden_channels >= 1")
+            f"in_channels={IN_CHANNELS} and hidden_channels >= 1")
     expected = [(f"{prim.value}.{pname}", shape) for prim in PRIMITIVE_ORDER
                 for pname, shape in _param_shapes(c_in, hidden).items()]
     for got, want in itertools.zip_longest(header["arrays"], expected):

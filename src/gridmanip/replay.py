@@ -47,7 +47,7 @@ class UnderfullError(ReplayError):
 @dataclass
 class Transition:
     observation: object
-    prev_action_context: object
+    prev_action: object     # the Action before; None at an episode's start
     action: object
     r_t: float
     reward_map: object

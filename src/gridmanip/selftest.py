@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridsim import Action, Observation, PRIMITIVE_ORDER
-from .qfunc import (PrevActionContext, QNetwork, TrainHyper, _PARAM_NAMES,
-                    transition_backward, transition_loss)
+from .qfunc import (QNetwork, TrainHyper, _PARAM_NAMES, transition_backward,
+                    transition_loss)
 from .replay import Transition
 from .reward import RewardMap, RewardParams, gaussian_kernel, tpg_reward_map
 
@@ -85,9 +85,10 @@ def _transition_loss(net, transition, hp):
 def random_transition(rng, h=6, w=6, rotations=4):
     """A synthetic finalized transition with smooth random inputs."""
     obs = Observation(channels=rng.uniform(0.0, 1.0, size=(3, h, w)))
-    ctx_channels = np.zeros((3, h, w))
-    ctx_channels[int(rng.integers(3)), int(rng.integers(h)),
-                 int(rng.integers(w))] = rng.uniform(0.0, 1.0)
+    q_prev = rng.uniform(0.0, 1.0)
+    prim_prev = PRIMITIVE_ORDER[int(rng.integers(3))]
+    y_prev, x_prev = int(rng.integers(h)), int(rng.integers(w))
+    prev = Action(prim_prev, x_prev, y_prev, 0, q_prev)
     primitive = PRIMITIVE_ORDER[int(rng.integers(3))]
     action = Action(primitive=primitive, x=int(rng.integers(w)),
                     y=int(rng.integers(h)),
@@ -96,9 +97,7 @@ def random_transition(rng, h=6, w=6, rotations=4):
     grid = np.abs(rng.normal(size=(h, w)))
     mask = rng.random(size=(h, w)) < 0.4
     mask[action.y, action.x] = True
-    return Transition(observation=obs,
-                      prev_action_context=PrevActionContext(channels=ctx_channels),
-                      action=action,
+    return Transition(observation=obs, prev_action=prev, action=action,
                       r_t=float(rng.uniform(0.1, 1.0)),
                       reward_map=RewardMap(grid=grid, supervised_mask=mask),
                       r_next=float(rng.uniform(0.0, 1.0)))
@@ -124,8 +123,7 @@ def gradient_check(n_draws=100, coords_per_draw=40, h=6, w=6, seed=20240502,
         # Draw 0 probes every coordinate of the full-width stack; later draws
         # spread sampled coordinates over narrow stacks for speed.
         hidden = 16 if (exhaustive_first and draw == 0) else 4
-        net = QNetwork.init(rng, in_channels=6, hidden_channels=hidden,
-                            rotations=4)
+        net = QNetwork.init(rng, hidden_channels=hidden, rotations=4)
         tr = random_transition(rng, h=h, w=w)
         grads = {}      # analytic dLoss/dparams; no update is applied
         transition_backward(net, tr, transition_loss(net, tr, hp)[1], grads)

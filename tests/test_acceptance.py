@@ -152,7 +152,7 @@ class TestCriterion4ReplayLaw:
         buf = ReplayBuffer(capacity=16, rank_exponent=0.7)
         items = []
         for p in priorities:
-            t = Transition(observation=None, prev_action_context=None,
+            t = Transition(observation=None, prev_action=None,
                            action=None, r_t=0.0, reward_map=None, r_next=0.0)
             buf.push(t)
             buf.update_priorities([t.insert_index], [p])

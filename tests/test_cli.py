@@ -261,6 +261,9 @@ class TestTrainCommand:
         ("network.loss_scale=inf", "network.loss_scale"),
         ("replay.rank_exponent=inf", "replay.rank_exponent"),
         ("replay.rank_exponent=nan", "replay.rank_exponent"),
+        ("task.kind=clutter_removal task.n_blocks=0", "task.n_blocks=0"),
+        ("task.kind=clutter_removal task.n_blocks=-1", "task.n_blocks=-1"),
+        ("task.allowed_primitives=place", "task.allowed_primitives"),
     ])
     def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                  capsys, override, named):
@@ -358,6 +361,18 @@ class TestEvalCommand:
                      "--checkpoint", str(ckpt),
                      "--set", f"task.rotations={rotations}"]) == 1
         assert "task.rotations" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hidden_channels_mismatch_exit_one_before_work(self, clutter_cfg,
+                                                           tmp_path, capsys):
+        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        ckpt = tmp_path / "sixteen.bin"
+        save_checkpoint(ckpt, net, (7, 7))
+        out = tmp_path / "x"
+        assert main(["eval", "--config", str(clutter_cfg), "--out", str(out),
+                     "--checkpoint", str(ckpt),
+                     "--set", "network.hidden_channels=8"]) == 1
+        assert "network.hidden_channels=8" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_byte_identical(self, clutter_cfg, tmp_path):
@@ -507,6 +522,19 @@ class TestInspectCommand:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not list(tmp_path.rglob("qmap_*.csv"))
+
+    def test_dump_qmap_hidden_channels_mismatch_exit_one_before_work(
+            self, tmp_path, capsys):
+        net = QNetwork.init(np.random.default_rng(1), 6, 16, 4)
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, net, (10, 10))
+        out = tmp_path / "dump"
+        code = main(["inspect", str(ckpt), "--config", str(DEFAULT_INI),
+                     "--out", str(out), "--dump-qmap", "pick",
+                     "--set", "network.hidden_channels=8"])
+        assert code == 1
+        assert "network.hidden_channels=8" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSelftestCommand:

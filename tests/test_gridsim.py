@@ -50,6 +50,17 @@ class TestReset:
         with pytest.raises(ConfigError):
             stacking_task(n=3, goal=1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_clutter_without_blocks_rejected(self, n):
+        with pytest.raises(ConfigError, match=f"task.n_blocks={n}"):
+            clutter_task(n=n)
+
+    def test_place_alone_rejected(self):
+        for make in (clutter_task, stacking_task):
+            with pytest.raises(ConfigError, match="task.allowed_primitives"):
+                make(allowed_primitives=(Primitive.PLACE,))
+        clutter_task(allowed_primitives=(Primitive.PUSH, Primitive.PLACE))
+
     def test_max_steps_defaults_to_eight_per_block(self):
         assert clutter_task(n=10).max_steps == 80
 
@@ -479,8 +490,10 @@ def episodes(draw):
     if rotations not in (1, 2):
         w = h           # a task that turns by 90 degrees has a square grid
     common = dict(width=w, height=h, rotations=rotations,
+                  # Place alone can never act, so no task offers it alone.
                   allowed_primitives=draw(st.sets(
-                      st.sampled_from(PRIMITIVE_ORDER), min_size=1)),
+                      st.sampled_from(PRIMITIVE_ORDER), min_size=1).filter(
+                          lambda prims: prims != {Primitive.PLACE})),
                   push_distance=draw(st.integers(1, 3)),
                   fail_limit=draw(st.integers(1, 12)),
                   max_steps=draw(st.integers(0, 30)))

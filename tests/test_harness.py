@@ -152,11 +152,25 @@ class TestTrain:
         assert net_digest(copy.net) == net_digest(report.net)
 
     def test_unplayable_task_raises(self):
-        task = TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=3,
-                          goal_stack_height=2, width=6, height=6,
-                          allowed_primitives=(Primitive.PLACE,))
+        # A 2x2 grid full of blocks leaves no push a free cell to go to.
+        task = TaskConfig(kind=TaskKind.CLUTTER_REMOVAL, n_blocks=4,
+                          width=2, height=2,
+                          allowed_primitives=(Primitive.PUSH,))
         with pytest.raises(NoValidActionError):
             train(small_config(task=task, train_steps=5))
+
+    def test_buffered_prev_action_is_the_row_before(self):
+        report = train(small_config(train_steps=120))
+        items = report.replay_buffer._items
+        assert len(items) == len(report.records) == 120
+        starts = 0
+        for i, tr in enumerate(items):
+            if i == 0 or report.records[i - 1].done:
+                starts += 1
+                assert tr.prev_action is None
+            else:
+                assert tr.prev_action is items[i - 1].action
+        assert starts == len(report.episodes) + (not report.records[-1].done)
 
     def test_train_and_evaluate_leave_the_task_unchanged(self):
         # The scripted layout resolves n_blocks and max_steps when the task

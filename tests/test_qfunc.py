@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from gridmanip.gridsim import (Action, Observation, Primitive, PRIMITIVE_ORDER,
                                theta_radians)
 from gridmanip import qfunc
-from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError,
-                             PrevActionContext, QNetwork, TrainHyper,
-                             TrainingDivergence, build_target_map,
+from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError, QNetwork,
+                             TrainHyper, TrainingDivergence, build_target_map,
                              compute_target, forward_all,
                              load_checkpoint, meta_path,
                              read_checkpoint_header, robust_loss, rotate_grid,
-                             rotate_grid_grad, save_checkpoint, train_step)
+                             rotate_grid_grad, save_checkpoint, stack_input,
+                             train_step)
 from gridmanip.replay import Transition
 from gridmanip.reward import RewardParams, spike_reward_map, tpg_reward_map
 from gridmanip.selftest import gradient_check
@@ -135,8 +135,19 @@ def ref_forward_rotation(net, x, primitive, theta_index):
     return ref_rotate_grid(q, theta), cache, theta
 
 
-def ref_forward(net, obs, ctx, primitive):
-    x = np.concatenate([obs.channels, ctx.channels], axis=0)
+def ref_context(prev_action, h, w):
+    """The dense previous-action context: the action's Q at its pose in its
+    primitive's channel, channels in PRIMITIVE_ORDER; all zero for None."""
+    ctx = np.zeros((3, h, w))
+    if prev_action is not None:
+        ctx[PRIMITIVE_ORDER.index(prev_action.primitive), prev_action.y,
+            prev_action.x] = prev_action.q_value
+    return ctx
+
+
+def ref_forward(net, obs, prev_action, primitive):
+    x = np.concatenate([obs.channels, ref_context(prev_action, *obs.shape)],
+                       axis=0)
     return np.stack([ref_forward_rotation(net, x, primitive, r)[0]
                      for r in range(net.rotations)])
 
@@ -148,7 +159,8 @@ def ref_train_step(net, batch, hp):
     n = len(batch)
     for i, tr in enumerate(batch):
         x = np.concatenate([tr.observation.channels,
-                            tr.prev_action_context.channels], axis=0)
+                            ref_context(tr.prev_action,
+                                        *tr.observation.shape)], axis=0)
         pred, cache, theta = ref_forward_rotation(net, x, tr.action.primitive,
                                                   tr.action.theta_index)
         y = compute_target(tr.r_t, tr.r_next, hp.gamma)
@@ -180,16 +192,20 @@ def oracle_case(seed, rotations, hidden):
 
 
 def oracle_inputs(rng, h, w):
-    """An observation with negative values and a sparse previous-action
-    context holding negatives and -0.0."""
+    """An observation with negative values, and no previous action or one
+    whose Q is negative, positive or -0.0."""
     obs = Observation(channels=rng.normal(size=(3, h, w)))
-    ctx = rng.normal(size=(3, h, w)) * (rng.random((3, h, w)) < 0.2)
-    ctx[rng.random((3, h, w)) < 0.2] = -0.0
-    return obs, PrevActionContext(channels=ctx)
+    choice = int(rng.integers(4))
+    if choice == 0:
+        return obs, None
+    magnitude = float(rng.uniform(0.01, 2.0))
+    q = (-magnitude, magnitude, -0.0)[choice - 1]
+    return obs, Action(PRIMITIVE_ORDER[int(rng.integers(3))],
+                       int(rng.integers(w)), int(rng.integers(h)), 0, q)
 
 
 def oracle_transition(rng, h, w, rotations):
-    obs, ctx = oracle_inputs(rng, h, w)
+    obs, prev = oracle_inputs(rng, h, w)
     theta_index = int(rng.integers(rotations))
     x, y = int(rng.integers(w)), int(rng.integers(h))
     r_t = float(rng.choice([0.0, rng.uniform(0.05, 1.0)]))
@@ -201,7 +217,7 @@ def oracle_transition(rng, h, w, rotations):
         rmap = spike_reward_map(r_t, (x, y), (h, w))
     action = Action(PRIMITIVE_ORDER[int(rng.integers(3))], x, y, theta_index,
                     float(rng.normal()))
-    return Transition(observation=obs, prev_action_context=ctx, action=action,
+    return Transition(observation=obs, prev_action=prev, action=action,
                       r_t=r_t, reward_map=rmap,
                       r_next=float(rng.uniform(0.0, 1.0)))
 
@@ -270,11 +286,11 @@ class TestReferenceOracle:
     def test_q_maps_bitwise_equal(self, shape, hidden, seed):
         h, w, rotations = shape
         rng, (net, ref_net) = oracle_case(seed, rotations, hidden)
-        obs, ctx = oracle_inputs(rng, h, w)
-        maps = forward_all(net, obs, ctx, PRIMITIVE_ORDER)
+        obs, prev = oracle_inputs(rng, h, w)
+        maps = forward_all(net, obs, prev, PRIMITIVE_ORDER)
         for prim in PRIMITIVE_ORDER:
             assert maps[prim].tobytes() == \
-                ref_forward(ref_net, obs, ctx, prim).tobytes()
+                ref_forward(ref_net, obs, prev, prim).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(shape=oracle_shapes, hidden=st.integers(1, 16),
@@ -370,20 +386,19 @@ class TestConvLayer:
         assert num == pytest.approx(db[0], rel=1e-5, abs=1e-8)
 
 
-def forward(net, obs, ctx, primitive):
+def forward(net, obs, prev_action, primitive):
     """The (rotations, h, w) Q-map set of one primitive."""
-    return forward_all(net, obs, ctx, [primitive])[primitive]
+    return forward_all(net, obs, prev_action, [primitive])[primitive]
 
 
 class TestForward:
     def test_zeroed_final_layer_gives_zero_maps(self):
         net = fresh_net(1)
         obs = Observation(channels=np.random.default_rng(0).random((3, 8, 8)))
-        ctx = PrevActionContext.initial(8, 8)
         for prim in PRIMITIVE_ORDER:
             net.stacks[prim].w3[:] = 0.0
             net.stacks[prim].b3[:] = 0.0
-        maps = forward(net, obs, ctx, Primitive.PICK)
+        maps = forward(net, obs, None, Primitive.PICK)
         assert maps.shape == (4, 8, 8)
         assert not maps.any()
 
@@ -396,8 +411,7 @@ class TestForward:
         sym = base + np.rot90(base, 1, (1, 2)) + np.rot90(base, 2, (1, 2)) \
             + np.rot90(base, 3, (1, 2))
         obs = Observation(channels=sym)
-        ctx = PrevActionContext.initial(8, 8)
-        maps = forward(net, obs, ctx, Primitive.PUSH)
+        maps = forward(net, obs, None, Primitive.PUSH)
         for r in range(1, 4):
             expected = rotate_grid(maps[0], r * math.pi / 2)
             np.testing.assert_allclose(maps[r], expected, atol=1e-12)
@@ -406,33 +420,41 @@ class TestForward:
         net = fresh_net(3)
         rng = np.random.default_rng(1)
         obs = Observation(channels=rng.random((3, 6, 6)))
-        ctx = PrevActionContext.from_action(
-            Action(Primitive.PICK, 2, 3, 0, 0.4), 6, 6)
-        a = forward(net, obs, ctx, Primitive.PLACE)
-        b = forward(net, obs, ctx, Primitive.PLACE)
+        prev = Action(Primitive.PICK, 2, 3, 0, 0.4)
+        a = forward(net, obs, prev, Primitive.PLACE)
+        b = forward(net, obs, prev, Primitive.PLACE)
         np.testing.assert_array_equal(a, b)
 
     def test_context_changes_output(self):
         net = fresh_net(4)
         obs = Observation(channels=np.random.default_rng(2).random((3, 6, 6)))
-        a = forward(net, obs, PrevActionContext.initial(6, 6), Primitive.PICK)
-        ctx = PrevActionContext.from_action(
-            Action(Primitive.PLACE, 1, 1, 0, 0.9), 6, 6)
-        b = forward(net, obs, ctx, Primitive.PICK)
+        a = forward(net, obs, None, Primitive.PICK)
+        b = forward(net, obs, Action(Primitive.PLACE, 1, 1, 0, 0.9),
+                    Primitive.PICK)
         assert not np.array_equal(a, b)
+
+
+def context_block(prev_action, h, w):
+    """The (3, h, w) context channels of stack_input's vector, after checking
+    that the observation channels and the trailing zero slot are intact."""
+    channels = np.random.default_rng(9).random((3, h, w))
+    x = stack_input(Observation(channels=channels), prev_action)
+    assert x.shape == (6 * h * w + 1,)
+    assert x[:3 * h * w].tobytes() == channels.tobytes()
+    assert x[-1] == 0.0
+    return x[3 * h * w:-1].reshape(3, h, w)
 
 
 class TestContext:
     def test_initial_all_zero(self):
-        ctx = PrevActionContext.initial(5, 7)
-        assert ctx.channels.shape == (3, 5, 7)
-        assert not ctx.channels.any()
+        ctx = context_block(None, 5, 7)
+        assert not ctx.any()
 
     def test_single_entry_in_primitive_channel(self):
         a = Action(Primitive.PLACE, 4, 2, 1, 0.7)
-        ctx = PrevActionContext.from_action(a, 6, 6)
-        assert np.count_nonzero(ctx.channels) == 1
-        assert ctx.channels[PRIMITIVE_ORDER.index(Primitive.PLACE), 2, 4] == 0.7
+        ctx = context_block(a, 6, 6)
+        assert np.count_nonzero(ctx) == 1
+        assert ctx[PRIMITIVE_ORDER.index(Primitive.PLACE), 2, 4] == 0.7
 
 
 class TestTarget:
@@ -517,7 +539,7 @@ def one_pixel_transition(rng, h=6, w=6, r_t=0.5, r_next=0.5):
     obs = Observation(channels=rng.uniform(0, 1, size=(3, h, w)))
     action = Action(Primitive.PICK, x=3, y=2, theta_index=1, q_value=0.0)
     return Transition(observation=obs,
-                      prev_action_context=PrevActionContext.initial(h, w),
+                      prev_action=None,
                       action=action, r_t=r_t,
                       reward_map=spike_reward_map(r_t, (3, 2), (h, w)),
                       r_next=r_next)

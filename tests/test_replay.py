@@ -13,7 +13,7 @@ from gridmanip.replay import (PRIORITY_FLOOR, ReplayBuffer, ReplayError,
 
 def make_transition(r_t=0.5, r_next=0.0):
     action = Action(Primitive.PICK, 0, 0, 0, 0.0)
-    return Transition(observation=None, prev_action_context=None,
+    return Transition(observation=None, prev_action=None,
                       action=action, r_t=r_t, reward_map=None, r_next=r_next)
 
 
@@ -237,7 +237,7 @@ class TestInterleaving:
 @dataclass
 class ListTransition:
     observation: object
-    prev_action_context: object
+    prev_action: object
     action: object
     r_t: float
     reward_map: object
@@ -366,7 +366,7 @@ class TestListOracleEquivalence:
                 # `repeat` finalized transitions, the last one maybe pending
                 _, x, repeat, r_last = op
                 for i in range(repeat):
-                    args = dict(observation=None, prev_action_context=None,
+                    args = dict(observation=None, prev_action=None,
                                 action=Action(Primitive.PICK, x, i, 0, 0.0),
                                 r_t=float(x), reward_map=None,
                                 r_next=r_last if i == repeat - 1 else 0.0)
