@@ -138,7 +138,7 @@ class TaskConfig:
 
     @property
     def height_norm(self):
-        """The stack height that the observation's height channel maps to 1:
+        """The stack height that the network's height channel maps to 1:
         the goal height when stacking, else the tallest initial stack."""
         if self.kind is TaskKind.BLOCK_STACKING:
             return self.goal_stack_height
@@ -159,16 +159,16 @@ class Workspace:
 
 @dataclass(frozen=True)
 class Observation:
-    """Fixed-order channel stack handed to the learner.
-
-    channels[0] occupancy in {0,1}; channels[1] stack height normalized to
-    [0,1]; channels[2] gripper-holding flag broadcast over the grid.
-    """
-    channels: np.ndarray         # (3, height, width), float64
+    """What the learner sees of a workspace, taken at one step: a copy of
+    its height grid, the holding flag and the task's ``height_norm``.
+    ``qfunc.stack_input`` lays these out as the network's input."""
+    heights: np.ndarray          # (height, width) ints, a copy
+    holding: bool
+    height_norm: int
 
     @property
     def shape(self):
-        return self.channels.shape[1:]
+        return self.heights.shape
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def reset(task: TaskConfig, seed: int):
         heights.flat[rng.choice(task.width * task.height, size=task.n_blocks,
                                 replace=False)] = 1
     ws = Workspace(heights=heights, task=task)
-    return ws, render_observation(ws)
+    return ws, observe(ws)
 
 
 def task_progress(ws: Workspace) -> float:
@@ -230,12 +230,9 @@ def task_progress(ws: Workspace) -> float:
     return ws.removed / ws.task.n_blocks
 
 
-def render_observation(ws: Workspace) -> Observation:
-    heights = ws.heights
-    occupancy = (heights > 0).astype(np.float64)
-    norm_height = np.clip(heights / ws.task.height_norm, 0.0, 1.0)
-    holding = np.full_like(occupancy, 1.0 if ws.holding else 0.0)
-    return Observation(channels=np.stack([occupancy, norm_height, holding]))
+def observe(ws: Workspace) -> Observation:
+    return Observation(heights=ws.heights.copy(), holding=ws.holding,
+                       height_norm=ws.task.height_norm)
 
 
 def _shifted(grid, dx, dy):
@@ -343,7 +340,7 @@ def step(ws: Workspace, action: Action) -> StepResult:
     elif ws.step_count >= task.max_steps:
         done, reason = True, DoneReason.MAX_STEPS
 
-    return StepResult(next_observation=render_observation(ws),
+    return StepResult(next_observation=observe(ws),
                       primitive_success=success,
                       progress=progress,
                       done=done,

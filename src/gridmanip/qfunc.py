@@ -1,7 +1,7 @@
 """Pixel-wise Q approximator with hand-derived gradients.
 
 One small convolutional stack per primitive (3x3 -> 3x3 -> 1x1, ReLU between,
-zero 'same' padding) maps the observation channels plus the previous action's
+zero 'same' padding) maps the observed scene plus the previous action's
 Q prediction at its pose to an h x w Q grid. Rotations are handled by
 counter-rotating the input, running the stack, and rotating the output back;
 rotation is a cached nearest-neighbour gather, exact for multiples of 90
@@ -25,10 +25,7 @@ from .gridsim import (Action, ConfigError, Observation, Primitive,
                       PRIMITIVE_ORDER, check_value, theta_radians)
 from .reward import RewardMap
 
-N_CONTEXT_CHANNELS = 3
-# conv1 reads the observation's 3 channels, then one context channel per
-# primitive.
-IN_CHANNELS = 3 + N_CONTEXT_CHANNELS
+IN_CHANNELS = 3 + len(PRIMITIVE_ORDER)     # scene, context (stack_input)
 CHECKPOINT_MAGIC = b"GMQN"
 CHECKPOINT_VERSION = 1
 # The checkpoint header's integer fields, in file and .meta order.
@@ -144,17 +141,18 @@ def _taps(h, w, source):
     return padded[ys[:, None] + ki, xs[:, None] + kj]
 
 
-def _input_index(c, h, w, theta):
-    """Gather index from stack_input's vector to conv1's (h*w, c*9) patch
-    matrix of the input counter-rotated by ``theta``."""
-    key = ("input", c, h, w, round(theta, 12))
+def _input_index(h, w, theta):
+    """Gather index from stack_input's vector to conv1's (h*w, IN_CHANNELS*9)
+    patch matrix of the input counter-rotated by ``theta``."""
+    key = ("input", h, w, round(theta, 12))
     hit = _INDEX_CACHE.get(key)
     if hit is None:
         flat, valid, _ = _rotation_map(h, w, -theta)
         source = flat if valid is None else np.where(valid, flat, -1)
         taps = _taps(h, w, source)[:, None, :]
-        channel = np.arange(c)[:, None] * (h * w)
-        hit = np.where(taps >= 0, channel + taps, c * h * w).reshape(h * w, -1)
+        channel = np.arange(IN_CHANNELS)[:, None] * (h * w)
+        hit = np.where(taps >= 0, channel + taps,
+                       IN_CHANNELS * h * w).reshape(h * w, -1)
         _INDEX_CACHE[key] = hit
     return hit
 
@@ -180,10 +178,10 @@ def _hidden_index(c, h, w):
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-def _param_shapes(in_channels, hidden):
+def _param_shapes(hidden):
     """Each stack parameter's shape, in _PARAM_NAMES order."""
     return dict(zip(_PARAM_NAMES, (
-        (hidden, in_channels, 3, 3), (hidden,),
+        (hidden, IN_CHANNELS, 3, 3), (hidden,),
         (hidden, hidden, 3, 3), (hidden,),
         (1, hidden, 1, 1), (1,))))
 
@@ -200,14 +198,14 @@ class ConvStack:
     velocity: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def init(cls, rng, in_channels, hidden):
+    def init(cls, rng, hidden):
         def uniform(shape):
             bound = 1.0 / math.sqrt(math.prod(shape[1:]))     # 1/sqrt(fan in)
             return rng.uniform(-bound, bound, size=shape)
 
-        shapes = _param_shapes(in_channels, hidden)
         return cls(**{name: np.zeros(shape) if name.startswith("b")
-                      else uniform(shape) for name, shape in shapes.items()})
+                      else uniform(shape)
+                      for name, shape in _param_shapes(hidden).items()})
 
     def params(self):
         return {name: getattr(self, name) for name in _PARAM_NAMES}
@@ -270,17 +268,15 @@ class ConvStack:
 @dataclass
 class QNetwork:
     stacks: dict                 # Primitive -> ConvStack
-    in_channels: int
     hidden_channels: int
     rotations: int
 
     @classmethod
-    def init(cls, rng, in_channels=IN_CHANNELS, hidden_channels=16,
-             rotations=4):
-        stacks = {prim: ConvStack.init(rng, in_channels, hidden_channels)
+    def init(cls, rng, hidden_channels=16, rotations=4):
+        stacks = {prim: ConvStack.init(rng, hidden_channels)
                   for prim in PRIMITIVE_ORDER}
-        return cls(stacks=stacks, in_channels=in_channels,
-                   hidden_channels=hidden_channels, rotations=rotations)
+        return cls(stacks=stacks, hidden_channels=hidden_channels,
+                   rotations=rotations)
 
     def param_arrays(self):
         """(name, array) pairs in the declared checkpoint order."""
@@ -292,14 +288,17 @@ class QNetwork:
 
 
 def stack_input(obs: Observation, prev_action: Action | None) -> np.ndarray:
-    """conv1's flat input: the observation channels; then one context channel
-    per primitive, in PRIMITIVE_ORDER, holding the previous action's Q at its
-    pose in its primitive's channel (all zero when ``prev_action`` is None, at
-    an episode's start); then one trailing zero that conv1's gather reads for
-    padding and out-of-grid pixels."""
+    """conv1's flat input: occupancy, the stack height over height_norm
+    clipped to [0, 1] and the holding flag, each over the grid; one channel
+    per primitive, in PRIMITIVE_ORDER, with the previous action's Q at its
+    pose in its own channel (all zero for None, at an episode's start); then
+    a zero that conv1's gather reads for padded and out-of-grid pixels."""
     h, w = obs.shape
     x = np.zeros(IN_CHANNELS * h * w + 1)
-    x[:obs.channels.size] = obs.channels.ravel()
+    scene = x[:3 * h * w].reshape(3, h, w)
+    scene[0] = obs.heights > 0
+    scene[1] = np.minimum(obs.heights / obs.height_norm, 1.0)  # counts >= 0
+    scene[2] = obs.holding
     if prev_action is not None:
         channel = 3 + PRIMITIVE_ORDER.index(prev_action.primitive)
         x[(channel * h + prev_action.y) * w + prev_action.x] = \
@@ -312,7 +311,7 @@ def forward_rotation(net: QNetwork, x: np.ndarray, shape, primitive: Primitive,
     """Q grid for one rotation of the flat input ``x`` (see stack_input) on
     an ``shape`` grid: counter-rotate input, run stack, rotate back."""
     theta = theta_radians(theta_index, net.rotations)
-    index = _input_index(net.in_channels, *shape, theta)
+    index = _input_index(*shape, theta)
     q, cache = net.stacks[primitive].forward(x, index, shape)
     return rotate_grid(q.reshape(shape), theta), cache, theta
 
@@ -470,7 +469,7 @@ def config_hash(text: str) -> str:
 def save_checkpoint(path, net: QNetwork, grid_shape, cfg_hash: str = ""):
     """Binary header + parameter arrays (little-endian float64, declared
     order), mirrored by a ``<path>.meta`` text sidecar."""
-    values = (CHECKPOINT_VERSION, net.rotations, net.in_channels,
+    values = (CHECKPOINT_VERSION, net.rotations, IN_CHANNELS,
               net.hidden_channels, *grid_shape)
     arrays = net.param_arrays()
     digest = bytes.fromhex(cfg_hash) if cfg_hash else b"\x00" * 32
@@ -554,7 +553,7 @@ def load_checkpoint(path):
             f"{path}: in_channels={c_in}, hidden_channels={hidden}; expected "
             f"in_channels={IN_CHANNELS} and hidden_channels >= 1")
     expected = [(f"{prim.value}.{pname}", shape) for prim in PRIMITIVE_ORDER
-                for pname, shape in _param_shapes(c_in, hidden).items()]
+                for pname, shape in _param_shapes(hidden).items()]
     for got, want in itertools.zip_longest(header["arrays"], expected):
         if got != want:
             raise CheckpointError(f"{path}: array (name, shape) {got}, the "
@@ -566,7 +565,7 @@ def load_checkpoint(path):
     if len(data) != 8 * sum(counts):
         raise CheckpointError(f"{path}: {len(data)} bytes of array data, "
                               f"the header declares {8 * sum(counts)}")
-    net = QNetwork(stacks={}, in_channels=c_in, hidden_channels=hidden,
+    net = QNetwork(stacks={}, hidden_channels=hidden,
                    rotations=header["rotations"])
     raw, offset = {}, 0
     for (name, shape), count in zip(header["arrays"], counts):

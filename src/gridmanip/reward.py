@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridsim import Primitive, check_value
+from .gridsim import ConfigError, Primitive, check_value
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class RewardParams:
 
     @property
     def truncation(self):
-        """Kernel half-width in cells."""
+        """Kernel half-width in cells, before any grid caps it."""
         return math.ceil(3.0 * self.sigma_x)
 
     def __post_init__(self):
@@ -42,6 +42,17 @@ class RewardParams:
                     0 < self.sigma_y < math.inf, "finite and > 0")
         check_value("reward.anisotropy", self.anisotropy,
                     0 < self.anisotropy < math.inf, "finite and > 0")
+        # The kernel divides by these three; each, and the density's peak
+        # 1 / (2 pi sigma_x sigma_y), must be a float that is finite and > 0.
+        sx, sy = self.sigma_x, self.sigma_y
+        area = 2.0 * math.pi * sx * sy
+        if not (all(0 < v < math.inf for v in (area, 2.0 * sx * sx,
+                                               2.0 * sy * sy))
+                and 1.0 / area < math.inf):
+            raise ConfigError(
+                f"reward.sigma_y={sy} and reward.anisotropy={self.anisotropy} "
+                f"give sigma_x={sx}; 2*pi*sigma_x*sigma_y, its inverse and "
+                "2*sigma**2 of each axis must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -70,15 +81,17 @@ def baseline_reward(success: int) -> float:
     return float(success)
 
 
-def gaussian_kernel(theta: float, params: RewardParams) -> np.ndarray:
+def gaussian_kernel(theta: float, params: RewardParams, k=None) -> np.ndarray:
     """Anisotropic Gaussian on integer offsets, long axis along the gripper
     x-axis (coordinates rotated by -theta). Density values, not renormalized.
 
-    Returns a (2K+1, 2K+1) grid, K = truncation half-width, indexed
-    [dy + K, dx + K].
+    Returns a (2K+1, 2K+1) grid, K = ``k`` or else the truncation half-width,
+    indexed [dy + K, dx + K]. Each value depends on its offset alone, so a
+    smaller K gives the centre of the larger kernel, bit for bit.
     """
     sx, sy = params.sigma_x, params.sigma_y
-    k = params.truncation
+    if k is None:
+        k = params.truncation
     offs = np.arange(-k, k + 1, dtype=np.float64)
     dxg, dyg = np.meshgrid(offs, offs)
     ct, st = math.cos(theta), math.sin(theta)
@@ -97,12 +110,12 @@ def _spike(value, x, y, shape):
 _KERNEL_CACHE = {}
 
 
-def _cached_kernel(theta, params):
-    # The kernel depends on theta and the Gaussian's widths alone.
-    key = (theta, params.sigma_x, params.sigma_y, params.truncation)
+def _cached_kernel(theta, params, k):
+    # The kernel depends on theta, the Gaussian's widths and its half-width.
+    key = (theta, params.sigma_x, params.sigma_y, k)
     kernel = _KERNEL_CACHE.get(key)
     if kernel is None:
-        kernel = _KERNEL_CACHE[key] = gaussian_kernel(theta, params)
+        kernel = _KERNEL_CACHE[key] = gaussian_kernel(theta, params, k)
     return kernel
 
 
@@ -113,17 +126,19 @@ def tpg_reward_map(r_tp: float, pose, params: RewardParams, shape) -> RewardMap:
     ``pose`` is (x, y, theta_radians) of the executed action. Convolving a
     one-pixel spike pastes ``r_tp`` times the kernel around the pixel; adding
     the paste onto zeros keeps a zero-padded convolution's bits (0.0 + -0.0
-    is +0.0).
+    is +0.0). Offsets past ``max(h, w) - 1`` never reach the grid, so the
+    kernel's half-width is capped there: a wide Gaussian costs no more than
+    the grid.
     """
     if r_tp < 0:
         raise ValueError("shaped reward must be nonnegative")
     x, y, theta = pose
-    k = params.truncation
     h, w = shape
+    k = min(params.truncation, max(h, w) - 1)
     y0, y1 = max(0, y - k), min(h, y + k + 1)
     x0, x1 = max(0, x - k), min(w, x + k + 1)
-    kernel = _cached_kernel(theta, params)[y0 - y + k:y1 - y + k,
-                                           x0 - x + k:x1 - x + k]
+    kernel = _cached_kernel(theta, params, k)[y0 - y + k:y1 - y + k,
+                                              x0 - x + k:x1 - x + k]
     smoothed = np.zeros(shape, dtype=np.float64)
     smoothed[y0:y1, x0:x1] += r_tp * kernel
     mask = np.zeros(shape, dtype=bool)

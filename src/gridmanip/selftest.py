@@ -83,8 +83,10 @@ def _transition_loss(net, transition, hp):
 
 
 def random_transition(rng, h=6, w=6, rotations=4):
-    """A synthetic finalized transition with smooth random inputs."""
-    obs = Observation(channels=rng.uniform(0.0, 1.0, size=(3, h, w)))
+    """A synthetic finalized transition on a random height grid, holding a
+    block, so that every scene channel of the input is non-zero."""
+    obs = Observation(heights=rng.integers(0, 4, size=(h, w)), holding=True,
+                      height_norm=2)
     q_prev = rng.uniform(0.0, 1.0)
     prim_prev = PRIMITIVE_ORDER[int(rng.integers(3))]
     y_prev, x_prev = int(rng.integers(h)), int(rng.integers(w))

@@ -253,6 +253,9 @@ class TestTrainCommand:
         ("reward.weight_place=-inf", "reward.weight_place"),
         ("reward.sigma_y=nan", "reward.sigma_y"),
         ("reward.anisotropy=inf", "reward.anisotropy"),
+        ("reward.sigma_y=1e-300", "reward.sigma_y=1e-300"),
+        ("reward.sigma_y=1e300", "reward.sigma_y=1e+300"),
+        ("reward.anisotropy=1e300", "reward.anisotropy=1e+300"),
         ("policy.alpha_scale=nan", "policy.alpha_scale"),
         ("policy.sigma=inf", "policy.sigma"),
         ("network.loss_alpha=nan", "network.loss_alpha"),
@@ -281,7 +284,7 @@ class TestEvalCommand:
     def test_eval_zero_initialized_checkpoint_smoke(self, clutter_cfg, tmp_path):
         # smoke: eval on a zero-initialized checkpoint must run to
         # completion and write a metrics file (values unasserted)
-        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(0), 16, 4)
         for stack in net.stacks.values():
             for name, arr in stack.params().items():
                 arr[:] = 0.0
@@ -302,7 +305,7 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "x")]) == 1
 
     def test_eval_grid_mismatch_rejected(self, clutter_cfg, tmp_path):
-        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(0), 16, 4)
         ckpt = tmp_path / "wrong.bin"
         save_checkpoint(ckpt, net, (9, 9))
         assert main(["eval", "--config", str(clutter_cfg),
@@ -316,7 +319,7 @@ class TestEvalCommand:
     ])
     def test_bad_checkpoint_exit_one_before_work(self, clutter_cfg, tmp_path,
                                                  capsys, damage, named):
-        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(0), 16, 4)
         if damage == "nan":
             net.stacks[Primitive.PICK].b3[:] = np.nan
         ckpt = tmp_path / "bad.bin"
@@ -336,7 +339,7 @@ class TestEvalCommand:
     def test_array_shape_mismatch_exit_one_before_work(self, clutter_cfg,
                                                        tmp_path, capsys,
                                                        mismatch):
-        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(0), 16, 4)
         if mismatch == "narrow_pick_w1":
             stack = net.stacks[Primitive.PICK]
             stack.w1 = stack.w1[:, :5].copy()
@@ -353,7 +356,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize("rotations", [2, 8])
     def test_rotation_mismatch_exit_one_before_work(self, clutter_cfg, tmp_path,
                                                     capsys, rotations):
-        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(0), 16, 4)
         ckpt = tmp_path / "four.bin"
         save_checkpoint(ckpt, net, (7, 7))
         out = tmp_path / "x"
@@ -365,7 +368,7 @@ class TestEvalCommand:
 
     def test_hidden_channels_mismatch_exit_one_before_work(self, clutter_cfg,
                                                            tmp_path, capsys):
-        net = QNetwork.init(np.random.default_rng(0), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(0), 16, 4)
         ckpt = tmp_path / "sixteen.bin"
         save_checkpoint(ckpt, net, (7, 7))
         out = tmp_path / "x"
@@ -437,7 +440,7 @@ class TestAblateCommand:
 
 class TestInspectCommand:
     def test_header_printed(self, tmp_path, capsys):
-        net = QNetwork.init(np.random.default_rng(1), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(1), 16, 4)
         ckpt = tmp_path / "ck.bin"
         save_checkpoint(ckpt, net, (7, 7), cfg_hash="cd" * 32)
         assert main(["inspect", str(ckpt)]) == 0
@@ -447,7 +450,7 @@ class TestInspectCommand:
         assert "array: push.w1 shape=16x6x3x3" in printed
 
     def test_header_lines_mirror_meta(self, tmp_path, capsys):
-        net = QNetwork.init(np.random.default_rng(1), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(1), 16, 4)
         ckpt = tmp_path / "ck.bin"
         save_checkpoint(ckpt, net, (7, 9), cfg_hash="cd" * 32)
         assert main(["inspect", str(ckpt)]) == 0
@@ -486,7 +489,7 @@ class TestInspectCommand:
     ])
     def test_bad_argument_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                capsys, arg):
-        net = QNetwork.init(np.random.default_rng(1), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(1), 16, 4)
         ckpt = tmp_path / "ck.bin"
         save_checkpoint(ckpt, net, (7, 7))
         out = tmp_path / "dump"
@@ -496,7 +499,7 @@ class TestInspectCommand:
         assert not out.exists()
 
     def test_dump_qmap(self, tiny_cfg, tmp_path):
-        net = QNetwork.init(np.random.default_rng(1), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(1), 16, 4)
         ckpt = tmp_path / "ck.bin"
         save_checkpoint(ckpt, net, (7, 7))
         out = tmp_path / "dump"
@@ -513,7 +516,7 @@ class TestInspectCommand:
     ])
     def test_dump_qmap_mismatch_exit_one_before_work(self, tmp_path, capsys,
                                                      rotations, grid, named):
-        net = QNetwork.init(np.random.default_rng(1), 6, 16, rotations)
+        net = QNetwork.init(np.random.default_rng(1), 16, rotations)
         ckpt = tmp_path / "ck.bin"
         save_checkpoint(ckpt, net, grid)
         out = tmp_path / "dump"
@@ -525,7 +528,7 @@ class TestInspectCommand:
 
     def test_dump_qmap_hidden_channels_mismatch_exit_one_before_work(
             self, tmp_path, capsys):
-        net = QNetwork.init(np.random.default_rng(1), 6, 16, 4)
+        net = QNetwork.init(np.random.default_rng(1), 16, 4)
         ckpt = tmp_path / "ck.bin"
         save_checkpoint(ckpt, net, (10, 10))
         out = tmp_path / "dump"

@@ -7,6 +7,13 @@ from gridmanip import gridsim
 from gridmanip.gridsim import (PRIMITIVE_ORDER, Action, ConfigError,
                                ContractViolation, DoneReason, Primitive,
                                TaskConfig, TaskKind)
+from gridmanip.qfunc import stack_input
+
+
+def scene_channels(ws):
+    """The (3, h, w) scene channels of the network's input for ``ws``."""
+    h, w = ws.heights.shape
+    return stack_input(gridsim.observe(ws), None)[:3 * h * w].reshape(3, h, w)
 
 
 def clutter_task(n=10, width=14, height=14, **kw):
@@ -22,13 +29,13 @@ def stacking_task(n=10, goal=4, width=14, height=14, **kw):
 class TestReset:
     def test_clutter_occupancy_conserves_blocks(self):
         ws, obs = gridsim.reset(clutter_task(n=10), seed=7)
-        assert obs.channels[0].sum() == 10
+        assert (obs.heights > 0).sum() == 10
         assert ws.heights.sum() == 10
 
     def test_same_seed_bit_identical(self):
         _, obs_a = gridsim.reset(clutter_task(n=10), seed=7)
         _, obs_b = gridsim.reset(clutter_task(n=10), seed=7)
-        assert np.array_equal(obs_a.channels, obs_b.channels)
+        assert np.array_equal(obs_a.heights, obs_b.heights)
 
     def test_stacking_initial_heights_all_one(self):
         ws, _ = gridsim.reset(stacking_task(n=10, goal=4), seed=3)
@@ -301,16 +308,35 @@ class TestMasksAndRendering:
         ws.heights[:] = 0
         ws.heights[2, 2] = 3
         ws.heights[0, 0] = 1
-        obs = gridsim.render_observation(ws)
-        assert obs.channels[1][2, 2] == pytest.approx(0.75)
-        assert np.array_equal(obs.channels[0], (ws.heights > 0))
+        channels = scene_channels(ws)
+        assert channels[1][2, 2] == pytest.approx(0.75)
+        assert np.array_equal(channels[0], (ws.heights > 0))
 
     def test_gripper_channel_broadcast(self):
         ws, _ = gridsim.reset(stacking_task(n=3, goal=2, width=7, height=7), seed=0)
         x, y = find_block(ws)
         gridsim.step(ws, Action(Primitive.PICK, x, y, 0))
-        obs = gridsim.render_observation(ws)
-        assert (obs.channels[2] == 1.0).all()
+        assert (scene_channels(ws)[2] == 1.0).all()
+
+
+class TestObservationIsCopy:
+    def test_observe_reset_and_step_outlive_later_steps(self):
+        task = stacking_task(n=4, goal=3, width=5, height=5)
+        ws, at_reset = gridsim.reset(task, seed=1)
+        observed = gridsim.observe(ws)
+        snapshots = [(obs, obs.heights.copy(), obs.holding)
+                     for obs in (at_reset, observed)]
+        x, y = find_block(ws)
+        res = gridsim.step(ws, Action(Primitive.PICK, x, y, 0))
+        assert res.primitive_success and ws.holding
+        snapshots.append((res.next_observation, ws.heights.copy(), True))
+        gridsim.step(ws, Action(Primitive.PLACE, *find_block(ws), 0))
+        assert not ws.holding
+        for obs, heights, holding in snapshots:
+            assert obs.heights.tobytes() == heights.tobytes()
+            assert obs.holding is holding
+            assert obs.height_norm == 3
+        assert not np.array_equal(ws.heights, snapshots[0][1])
 
 
 class TestInvariantsRandomly:
@@ -373,7 +399,7 @@ class TestInvariantsRandomly:
             chans = []
             for a in actions:
                 res = gridsim.step(ws, a)
-                chans.append(res.next_observation.channels.copy())
+                chans.append(res.next_observation.heights)
                 if res.done:
                     break
             outs.append(np.stack(chans))
@@ -410,8 +436,8 @@ class TestScripted:
         task = TaskConfig(kind=TaskKind.SCRIPTED_ARRANGEMENT, n_blocks=0,
                           width=5, height=5, layout=self.LAYOUT)
         ws, obs = gridsim.reset(task, seed=0)
-        assert task.height_norm == 3
-        assert obs.channels[1][2, 3] == pytest.approx(1.0)
+        assert task.height_norm == obs.height_norm == 3
+        assert scene_channels(ws)[1][2, 3] == pytest.approx(1.0)
 
 
 def loop_valid_action_mask(ws, primitive):
@@ -471,7 +497,7 @@ class TestMaskLoopOracle:
             ref = loop_valid_action_mask(ws, prim)
             assert mask.dtype == ref.dtype and mask.shape == ref.shape
             assert mask.tobytes() == ref.tobytes()
-        channels = gridsim.render_observation(ws).channels
+        channels = scene_channels(ws)
         for y in range(h):
             for x in range(w):
                 assert channels[0, y, x] == (1.0 if heights[y, x] else 0.0)

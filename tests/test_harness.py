@@ -61,8 +61,8 @@ def net_digest(net):
 def oracle_pick_net(rotations=4):
     """Hand-built network whose pick map equals the occupancy channel and
     whose other maps are identically zero."""
-    net = QNetwork.init(np.random.default_rng(0), in_channels=6,
-                        hidden_channels=16, rotations=rotations)
+    net = QNetwork.init(np.random.default_rng(0), hidden_channels=16,
+                        rotations=rotations)
     for prim in net.stacks:
         stack = net.stacks[prim]
         for name, arr in stack.params().items():

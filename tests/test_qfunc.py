@@ -3,15 +3,16 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridmanip.gridsim import (Action, Observation, Primitive, PRIMITIVE_ORDER,
+                               TaskConfig, TaskKind, Workspace, observe,
                                theta_radians)
 from gridmanip import qfunc
-from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError, QNetwork,
-                             TrainHyper, TrainingDivergence, build_target_map,
-                             compute_target, forward_all,
-                             load_checkpoint, meta_path,
+from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError, IN_CHANNELS,
+                             QNetwork, TrainHyper, TrainingDivergence,
+                             build_target_map, compute_target, forward_all,
+                             forward_rotation, load_checkpoint, meta_path,
                              read_checkpoint_header, robust_loss, rotate_grid,
                              rotate_grid_grad, save_checkpoint, stack_input,
                              train_step)
@@ -135,6 +136,16 @@ def ref_forward_rotation(net, x, primitive, theta_index):
     return ref_rotate_grid(q, theta), cache, theta
 
 
+def ref_render(heights, holding, height_norm):
+    """The (3, h, w) scene channels as the simulator once rendered them for
+    every observation: occupancy, the stack height over ``height_norm``
+    clipped to [0, 1], and the holding flag over the grid."""
+    occupancy = (heights > 0).astype(np.float64)
+    norm_height = np.clip(heights / height_norm, 0.0, 1.0)
+    holding = np.full_like(occupancy, 1.0 if holding else 0.0)
+    return np.stack([occupancy, norm_height, holding])
+
+
 def ref_context(prev_action, h, w):
     """The dense previous-action context: the action's Q at its pose in its
     primitive's channel, channels in PRIMITIVE_ORDER; all zero for None."""
@@ -145,9 +156,15 @@ def ref_context(prev_action, h, w):
     return ctx
 
 
+def ref_input(obs, prev_action):
+    """conv1's (6, h, w) input: scene channels, then context channels."""
+    return np.concatenate([ref_render(obs.heights, obs.holding,
+                                      obs.height_norm),
+                           ref_context(prev_action, *obs.shape)], axis=0)
+
+
 def ref_forward(net, obs, prev_action, primitive):
-    x = np.concatenate([obs.channels, ref_context(prev_action, *obs.shape)],
-                       axis=0)
+    x = ref_input(obs, prev_action)
     return np.stack([ref_forward_rotation(net, x, primitive, r)[0]
                      for r in range(net.rotations)])
 
@@ -158,9 +175,7 @@ def ref_train_step(net, batch, hp):
     per_losses = np.zeros(len(batch))
     n = len(batch)
     for i, tr in enumerate(batch):
-        x = np.concatenate([tr.observation.channels,
-                            ref_context(tr.prev_action,
-                                        *tr.observation.shape)], axis=0)
+        x = ref_input(tr.observation, tr.prev_action)
         pred, cache, theta = ref_forward_rotation(net, x, tr.action.primitive,
                                                   tr.action.theta_index)
         y = compute_target(tr.r_t, tr.r_next, hp.gamma)
@@ -185,16 +200,26 @@ def oracle_case(seed, rotations, hidden):
     """A generator for the inputs and two equal networks: one for the code
     under test, one for the reference."""
     rng = np.random.default_rng(seed)
-    nets = [QNetwork.init(np.random.default_rng(seed), in_channels=6,
+    nets = [QNetwork.init(np.random.default_rng(seed),
                           hidden_channels=hidden, rotations=rotations)
             for _ in range(2)]
     return rng, nets
 
 
+def random_observation(rng, h, w, holding=None):
+    """A random height grid with stacks up to twice the height norm, so the
+    height channel clips; the holding flag is random unless given."""
+    norm = int(rng.integers(1, 4))
+    if holding is None:
+        holding = bool(rng.integers(2))
+    return Observation(heights=rng.integers(0, 2 * norm + 1, size=(h, w)),
+                       holding=holding, height_norm=norm)
+
+
 def oracle_inputs(rng, h, w):
-    """An observation with negative values, and no previous action or one
-    whose Q is negative, positive or -0.0."""
-    obs = Observation(channels=rng.normal(size=(3, h, w)))
+    """A random observation, and no previous action or one whose Q is
+    negative, positive or -0.0."""
+    obs = random_observation(rng, h, w)
     choice = int(rng.integers(4))
     if choice == 0:
         return obs, None
@@ -228,7 +253,7 @@ oracle_shapes = st.tuples(st.integers(3, 14), st.integers(3, 14),
 
 
 def fresh_net(seed=0, hidden=16, rotations=4):
-    return QNetwork.init(np.random.default_rng(seed), in_channels=6,
+    return QNetwork.init(np.random.default_rng(seed),
                          hidden_channels=hidden, rotations=rotations)
 
 
@@ -291,6 +316,23 @@ class TestReferenceOracle:
         for prim in PRIMITIVE_ORDER:
             assert maps[prim].tobytes() == \
                 ref_forward(ref_net, obs, prev, prim).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes, hidden=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_signed_flat_input_bitwise_equal(self, shape, hidden, seed):
+        # No height grid gives a negative input; conv1 must still match the
+        # reference on one, through every rotation.
+        h, w, rotations = shape
+        rng, (net, ref_net) = oracle_case(seed, rotations, hidden)
+        x = rng.normal(size=(IN_CHANNELS, h, w))
+        x[rng.random(x.shape) < 0.1] = -0.0
+        flat = np.append(x.ravel(), 0.0)
+        for prim in PRIMITIVE_ORDER:
+            for r in range(rotations):
+                q = forward_rotation(net, flat, (h, w), prim, r)[0]
+                assert q.tobytes() == \
+                    ref_forward_rotation(ref_net, x, prim, r)[0].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(shape=oracle_shapes, hidden=st.integers(1, 16),
@@ -394,7 +436,7 @@ def forward(net, obs, prev_action, primitive):
 class TestForward:
     def test_zeroed_final_layer_gives_zero_maps(self):
         net = fresh_net(1)
-        obs = Observation(channels=np.random.default_rng(0).random((3, 8, 8)))
+        obs = random_observation(np.random.default_rng(0), 8, 8)
         for prim in PRIMITIVE_ORDER:
             net.stacks[prim].w3[:] = 0.0
             net.stacks[prim].b3[:] = 0.0
@@ -407,10 +449,9 @@ class TestForward:
         # quarter-turn rotations of one another.
         net = fresh_net(2)
         rng = np.random.default_rng(5)
-        base = rng.random((3, 8, 8))
-        sym = base + np.rot90(base, 1, (1, 2)) + np.rot90(base, 2, (1, 2)) \
-            + np.rot90(base, 3, (1, 2))
-        obs = Observation(channels=sym)
+        base = rng.integers(0, 2, size=(8, 8))
+        sym = base + np.rot90(base, 1) + np.rot90(base, 2) + np.rot90(base, 3)
+        obs = Observation(heights=sym, holding=True, height_norm=3)
         maps = forward(net, obs, None, Primitive.PUSH)
         for r in range(1, 4):
             expected = rotate_grid(maps[0], r * math.pi / 2)
@@ -419,7 +460,7 @@ class TestForward:
     def test_forward_deterministic(self):
         net = fresh_net(3)
         rng = np.random.default_rng(1)
-        obs = Observation(channels=rng.random((3, 6, 6)))
+        obs = random_observation(rng, 6, 6)
         prev = Action(Primitive.PICK, 2, 3, 0, 0.4)
         a = forward(net, obs, prev, Primitive.PLACE)
         b = forward(net, obs, prev, Primitive.PLACE)
@@ -427,7 +468,7 @@ class TestForward:
 
     def test_context_changes_output(self):
         net = fresh_net(4)
-        obs = Observation(channels=np.random.default_rng(2).random((3, 6, 6)))
+        obs = random_observation(np.random.default_rng(2), 6, 6)
         a = forward(net, obs, None, Primitive.PICK)
         b = forward(net, obs, Action(Primitive.PLACE, 1, 1, 0, 0.9),
                     Primitive.PICK)
@@ -436,16 +477,57 @@ class TestForward:
 
 def context_block(prev_action, h, w):
     """The (3, h, w) context channels of stack_input's vector, after checking
-    that the observation channels and the trailing zero slot are intact."""
-    channels = np.random.default_rng(9).random((3, h, w))
-    x = stack_input(Observation(channels=channels), prev_action)
+    that the scene channels and the trailing zero slot are intact."""
+    obs = random_observation(np.random.default_rng(9), h, w)
+    x = stack_input(obs, prev_action)
     assert x.shape == (6 * h * w + 1,)
-    assert x[:3 * h * w].tobytes() == channels.tobytes()
+    assert x[:3 * h * w].tobytes() == \
+        ref_render(obs.heights, obs.holding, obs.height_norm).tobytes()
     assert x[-1] == 0.0
     return x[3 * h * w:-1].reshape(3, h, w)
 
 
+@st.composite
+def workspaces(draw):
+    """A workspace of any task kind, built directly, with stacks up to 9
+    high (above every task's height norm here) and either gripper state."""
+    kind = draw(st.sampled_from(TaskKind))
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, 9), min_size=h * w, max_size=h * w))
+    heights = np.array(cells).reshape(h, w)
+    # One rotation, so any grid shape is a valid task.
+    grid = dict(width=w, height=h, rotations=1)
+    if kind is TaskKind.SCRIPTED_ARRANGEMENT:
+        # The layout sets the height norm: its tallest stack, 1 to 5.
+        layout = np.zeros(h * w, dtype=int)
+        layout[0] = draw(st.integers(1, 5))
+        task = TaskConfig(kind=kind, n_blocks=0, layout="\n".join(
+            "".join(map(str, row)) for row in layout.reshape(h, w)), **grid)
+    elif kind is TaskKind.BLOCK_STACKING:
+        assume(h * w >= 2)
+        task = TaskConfig(kind=kind, n_blocks=h * w, goal_stack_height=draw(
+            st.integers(2, min(h * w, 5))), **grid)
+    else:
+        task = TaskConfig(kind=kind, n_blocks=1, **grid)
+    holding = draw(st.booleans())
+    prev = draw(st.none() | st.builds(
+        Action, st.sampled_from(PRIMITIVE_ORDER), st.integers(0, w - 1),
+        st.integers(0, h - 1), st.just(0),
+        st.sampled_from([-0.0]) | st.floats(-2.0, -0.01)
+        | st.floats(0.01, 2.0)))
+    return Workspace(heights=heights, task=task, holding=holding), prev
+
+
 class TestContext:
+    @given(case=workspaces())
+    def test_stack_input_bitwise_equal_to_rendered_channels(self, case):
+        ws, prev = case
+        h, w = ws.heights.shape
+        expected = np.concatenate([
+            ref_render(ws.heights, ws.holding, ws.task.height_norm).ravel(),
+            ref_context(prev, h, w).ravel(), [0.0]])
+        assert stack_input(observe(ws), prev).tobytes() == expected.tobytes()
+
     def test_initial_all_zero(self):
         ctx = context_block(None, 5, 7)
         assert not ctx.any()
@@ -536,7 +618,7 @@ class TestRobustLoss:
 
 
 def one_pixel_transition(rng, h=6, w=6, r_t=0.5, r_next=0.5):
-    obs = Observation(channels=rng.uniform(0, 1, size=(3, h, w)))
+    obs = random_observation(rng, h, w, holding=True)
     action = Action(Primitive.PICK, x=3, y=2, theta_index=1, q_value=0.0)
     return Transition(observation=obs,
                       prev_action=None,
@@ -666,10 +748,7 @@ class TestCheckpoint:
                                           "in_channels"])
     def test_shapes_the_header_does_not_imply_rejected(self, tmp_path,
                                                        mismatch):
-        if mismatch == "in_channels":
-            net = QNetwork.init(np.random.default_rng(19), in_channels=5)
-        else:
-            net = fresh_net(19)
+        net = fresh_net(19)
         if mismatch == "narrow_pick_w1":
             stack = net.stacks[Primitive.PICK]
             stack.w1 = stack.w1[:, :5].copy()
@@ -677,6 +756,12 @@ class TestCheckpoint:
             net.hidden_channels = 8
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(path, net, (6, 6))
+        if mismatch == "in_channels":
+            # The header claims a 5-channel input.
+            at = len(qfunc.CHECKPOINT_MAGIC) \
+                + 4 * qfunc.HEADER_FIELDS.index("in_channels")
+            raw = path.read_bytes()
+            path.write_bytes(raw[:at] + struct.pack("<I", 5) + raw[at + 4:])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gridmanip.gridsim import Primitive
+from gridmanip import reward
+from gridmanip.gridsim import ConfigError, Primitive
 from gridmanip.reward import (RewardParams, baseline_reward, gaussian_kernel,
                               spike_reward_map, step_reward,
                               task_progress_reward, tpg_reward_map)
@@ -67,6 +68,12 @@ class TestProgressReward:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             RewardParams(sigma_y=-1)
+        # 2*pi*sigma_x*sigma_y underflows to 0, or overflows to inf.
+        for kwargs in (dict(sigma_y=1e-300), dict(sigma_y=1e300),
+                       dict(anisotropy=1e300), dict(sigma_y=1e-161,
+                                                    anisotropy=1.0)):
+            with pytest.raises(ConfigError, match="2\\*pi\\*sigma_x"):
+                RewardParams(**kwargs)
         weights = dict(RewardParams().weights)
         weights[Primitive.PUSH] = 0.0
         with pytest.raises(ValueError):
@@ -220,6 +227,22 @@ class TestPastedKernelOracle:
         grid, mask = convolved_reward_map(r_tp, pose, params, (h, w))
         assert rmap.grid.tobytes() == grid.tobytes()
         assert rmap.supervised_mask.tobytes() == mask.tobytes()
+
+    def test_wide_kernel_capped_at_the_grid(self):
+        # sigma_x = 40: a half-width of 120 cells, 9 of which reach a 10x10
+        # grid. The cached kernel is cut there, and a smaller grid asking
+        # for the same Gaussian gets its own half-width, not the 10x10 one.
+        params = RewardParams(sigma_y=20.0)
+        assert params.truncation == 120
+        reward._KERNEL_CACHE.clear()
+        for shape, pose in (((10, 10), (3, 7, math.pi / 2)),
+                            ((4, 6), (5, 0, math.pi / 2))):
+            rmap = tpg_reward_map(0.75, pose, params, shape)
+            grid, mask = convolved_reward_map(0.75, pose, params, shape)
+            assert rmap.grid.tobytes() == grid.tobytes()
+            assert rmap.supervised_mask.tobytes() == mask.tobytes()
+        assert sorted(k.shape for k in reward._KERNEL_CACHE.values()) == \
+            [(11, 11), (19, 19)]
 
     def test_mutated_params_not_served_from_cache(self):
         before = tpg_reward_map(1.0, (4, 4, 0.0), RewardParams(sigma_y=0.5),
