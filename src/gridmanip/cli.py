@@ -136,19 +136,15 @@ def _load_checkpoint_for(cfg, path):
     """The network in checkpoint ``path``; ConfigError unless its grid,
     rotation count and hidden channel count are those ``cfg`` sets."""
     net, header = qfunc.load_checkpoint(path)
-    if (header["grid_height"], header["grid_width"]) != (cfg.task.height,
-                                                         cfg.task.width):
-        raise ConfigError(
-            f"checkpoint grid {header['grid_height']}x{header['grid_width']} "
-            f"does not match task {cfg.task.height}x{cfg.task.width}")
-    if header["rotations"] != cfg.task.rotations:
-        raise ConfigError(
-            f"checkpoint has {header['rotations']} rotations but "
-            f"task.rotations={cfg.task.rotations}")
-    if header["hidden_channels"] != cfg.hidden_channels:
-        raise ConfigError(
-            f"checkpoint has {header['hidden_channels']} hidden channels but "
-            f"network.hidden_channels={cfg.hidden_channels}")
+    for field, key, value in (
+            ("grid_height", "task.height", cfg.task.height),
+            ("grid_width", "task.width", cfg.task.width),
+            ("rotations", "task.rotations", cfg.task.rotations),
+            ("hidden_channels", "network.hidden_channels",
+             cfg.hidden_channels)):
+        if header[field] != value:
+            raise ConfigError(
+                f"checkpoint has {field}={header[field]} but {key}={value}")
     return net
 
 
@@ -171,8 +167,7 @@ def _cmd_ablate(args):
     values, cfg = _load_effective_config(args)
     out_dir = _prepare_out(args.out or "out", config_mod.config_text(values))
     rows = []
-
-    def write_variant(entry):
+    for entry in harness.run_ablation(cfg):
         vcfg, metrics = entry.cfg, entry.metrics
         vvalues = {s: dict(k) for s, k in values.items()}
         vvalues["reward"]["kind"] = vcfg.reward_kind
@@ -186,8 +181,6 @@ def _cmd_ablate(args):
                      _csv_float(metrics.action_efficiency)])
         print(f"ablate[{entry.name}]: completion={rows[-1][1]} "
               f"pick={rows[-1][2]} efficiency={rows[-1][3]}")
-
-    harness.run_ablation(cfg, write_variant)
     with open(out_dir / "ablation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "completion_rate", "pick_success",

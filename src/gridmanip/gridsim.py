@@ -81,9 +81,15 @@ class TaskConfig:
                                               repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.allowed_primitives, (list, set)):
-            object.__setattr__(self, "allowed_primitives", tuple(
-                p for p in PRIMITIVE_ORDER if p in self.allowed_primitives))
+        if not isinstance(self.kind, TaskKind):
+            raise ConfigError(f"task.kind={self.kind!r} must be a TaskKind")
+        allowed = tuple(self.allowed_primitives)
+        if not all(isinstance(p, Primitive) for p in allowed):
+            raise ConfigError(f"task.allowed_primitives={allowed!r} must "
+                              "hold Primitive members")
+        # Canonical: each primitive once, in PRIMITIVE_ORDER.
+        object.__setattr__(self, "allowed_primitives",
+                           tuple(p for p in PRIMITIVE_ORDER if p in allowed))
         if not self.allowed_primitives:
             raise ConfigError("allowed_primitives must be nonempty")
         if self.allowed_primitives == (Primitive.PLACE,):
@@ -133,8 +139,27 @@ class TaskConfig:
             raise ConfigError(
                 "goal_stack_height must lie in [2, n_blocks], got "
                 f"{self.goal_stack_height} with n_blocks={self.n_blocks}")
+        if Primitive.PICK not in self.allowed_primitives \
+                and not self._can_push():
+            raise ConfigError(
+                "task.allowed_primitives="
+                f"{','.join(p.value for p in self.allowed_primitives)} can "
+                "never act: no reset of this task leaves a block a free cell "
+                "to be pushed to; allow pick too")
         if self.max_steps <= 0:
             object.__setattr__(self, "max_steps", 8 * self.n_blocks)
+
+    def _can_push(self):
+        """Whether some reset has a valid push: the scripted layout's own,
+        or some random drop that leaves a cell free along a push direction
+        that fits on the grid."""
+        if self.layout_heights is not None:
+            ws = Workspace(heights=self.layout_heights, task=self)
+            return bool(valid_action_mask(ws, Primitive.PUSH).any())
+        return self.n_blocks < self.width * self.height and any(
+            abs(dx) < self.width and abs(dy) < self.height
+            for dx, dy in (push_direction(r, self.rotations)
+                           for r in range(self.rotations)))
 
     @property
     def height_norm(self):

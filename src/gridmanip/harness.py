@@ -13,7 +13,6 @@ import itertools
 import math
 import os
 import time
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -248,23 +247,19 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
         q_maps, masks, eps, policy_rng))
     records, episodes = [], []
     step_i = 0
-    after_dead_end = False
 
     while step_i < cfg.train_steps:
         eps = _exploration(cfg, lae, step_i)
         ws, obs, prev, prev_progress, action, result = next(steps)
         if action is None:
-            # Dead end (cannot occur in the stock tasks): drop the episode.
-            if after_dead_end:
-                raise NoValidActionError(
-                    "task offers no valid action even after a fresh reset")
-            after_dead_end = True
+            # Dead end, mid-episode or at a reset: drop the episode. TaskConfig
+            # rejects a task on which no reset can act, so a fresh reset
+            # eventually can.
             if buffer.has_pending:
                 buffer.finalize_pending(0.0)
             episodes.append(EpisodeSummary(step_i, ws.step_count,
                                            "no_valid_action"))
             continue
-        after_dead_end = False
 
         r_tp, rmap = _reward_for_step(cfg, action, result.primitive_success,
                                       result.progress, prev_progress, shape)
@@ -396,30 +391,20 @@ class AblationEntry:
     metrics: Metrics
 
 
-def _ablation_entry(cfg: RunConfig, name: str) -> AblationEntry:
+def ablation_entry(cfg: RunConfig, name: str) -> AblationEntry:
+    """Train and evaluate one rung of the ladder; its replay buffer is
+    dropped, since no caller reads it and a worker would pickle it back."""
     vcfg = variant_config(cfg, name)
-    # No caller reads a variant's replay buffer; a worker would pickle it back.
     report = replace(train(vcfg), replay_buffer=None)
     return AblationEntry(name=name, cfg=vcfg, report=report,
                          metrics=evaluate(report.net, vcfg))
 
 
-def run_ablation(cfg: RunConfig, variant_cb=None) -> dict:
-    """Train and evaluate the reward/exploration ladder with shared seeds.
-
-    ``variant_cb(entry)``, when given, is invoked for each variant in ladder
-    order as soon as it and the variants before it are done (the CLI uses it
-    to write that variant's outputs, so a later variant's failure keeps
-    them). Entries carry no replay buffer.
-    """
-    names = [name for name, _, _ in ABLATION_VARIANTS]
-    out = {}
-    with closing(fan_out(partial(_ablation_entry, cfg), names)) as entries:
-        for entry in entries:
-            out[entry.name] = entry
-            if variant_cb:
-                variant_cb(entry)
-    return out
+def run_ablation(cfg: RunConfig):
+    """Yield each rung's AblationEntry in ladder order, as soon as it and the
+    rungs before it are done; the rungs share cfg's seeds."""
+    return fan_out(partial(ablation_entry, cfg),
+                   [name for name, _, _ in ABLATION_VARIANTS])
 
 
 def usable_cpus() -> int:

@@ -207,14 +207,16 @@ class TestCriterion6AblationDirectional:
         start = time.time()
         completions = {"baseline": [], "tpgr": [], "full": []}
         efficiencies = {"baseline": [], "tpgr": [], "full": []}
-        for seed in range(5):
-            values = default_values(**{"task.goal_stack_height": 3,
-                                       "run.seed": seed})
-            cfg = config_mod.build_run_config(values)
-            out = harness.run_ablation(cfg)
-            for name, entry in out.items():
-                completions[name].append(entry.metrics.completion_rate)
-                efficiencies[name].append(entry.metrics.action_efficiency or 0.0)
+        # All 15 (seed, rung) runs in one fan-out, so the first run sets the
+        # pace once and the rest share the CPUs.
+        jobs = [(config_mod.build_run_config(default_values(
+                    **{"task.goal_stack_height": 3, "run.seed": seed})), name)
+                for seed in range(5) for name in completions]
+        for entry in harness.fan_out(
+                lambda job: harness.ablation_entry(*job), jobs):
+            completions[entry.name].append(entry.metrics.completion_rate)
+            efficiencies[entry.name].append(
+                entry.metrics.action_efficiency or 0.0)
         med_c = {k: float(np.median(v)) for k, v in completions.items()}
         med_e = {k: float(np.median(v)) for k, v in efficiencies.items()}
         assert med_c["full"] >= med_c["tpgr"] >= med_c["baseline"], med_c

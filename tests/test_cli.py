@@ -1,4 +1,5 @@
 import configparser
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ from gridmanip.cli import main
 from gridmanip.config import ConfigError
 from gridmanip.gridsim import Primitive, TaskConfig, TaskKind
 from gridmanip.harness import RunConfig
+from gridmanip.policy import epsilon_greedy_decay
 from gridmanip.qfunc import QNetwork, TrainingDivergence, save_checkpoint
+from gridmanip.replay import ReplayBuffer
 
 DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 
@@ -87,6 +90,27 @@ class TestConfigModule:
         assert cfg == RunConfig(task=TaskConfig(
             kind=TaskKind.BLOCK_STACKING, n_blocks=5, goal_stack_height=2,
             allowed_primitives=(Primitive.PICK, Primitive.PLACE)))
+
+    def test_keyword_defaults_match_table(self):
+        # Code that builds these parts without a config gets the defaults.
+        table = {section: {key: parse(text)
+                           for key, (text, parse) in keys.items()}
+                 for section, keys in config_mod.SCHEMA.items()}
+
+        def keyword_defaults(fn):
+            return {name: p.default
+                    for name, p in inspect.signature(fn).parameters.items()
+                    if p.default is not p.empty}
+        assert keyword_defaults(QNetwork.init) == {
+            "hidden_channels": table["network"]["hidden_channels"],
+            "rotations": table["task"]["rotations"]}
+        assert keyword_defaults(ReplayBuffer) == {
+            "capacity": table["replay"]["capacity"],
+            "rank_exponent": table["replay"]["rank_exponent"]}
+        assert keyword_defaults(epsilon_greedy_decay) == {
+            "floor": table["policy"]["decay_floor"],
+            "span": table["policy"]["decay_span"],
+            "rate": table["policy"]["decay_rate"]}
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -267,6 +291,10 @@ class TestTrainCommand:
         ("task.kind=clutter_removal task.n_blocks=0", "task.n_blocks=0"),
         ("task.kind=clutter_removal task.n_blocks=-1", "task.n_blocks=-1"),
         ("task.allowed_primitives=place", "task.allowed_primitives"),
+        (f"{SCRIPTED_4X1} task.allowed_primitives=push task.layout=...1",
+         "can never act"),
+        ("task.kind=clutter_removal task.width=2 task.height=2 "
+         "task.n_blocks=4 task.allowed_primitives=push", "can never act"),
     ])
     def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                  capsys, override, named):
@@ -512,7 +540,7 @@ class TestInspectCommand:
 
     @pytest.mark.parametrize("rotations, grid, named", [
         (2, (10, 10), "task.rotations=4"),
-        (4, (7, 7), "does not match task 10x10"),
+        (4, (7, 7), "task.height=10"),
     ])
     def test_dump_qmap_mismatch_exit_one_before_work(self, tmp_path, capsys,
                                                      rotations, grid, named):

@@ -71,6 +71,46 @@ class TestReset:
     def test_max_steps_defaults_to_eight_per_block(self):
         assert clutter_task(n=10).max_steps == 80
 
+    def test_kind_must_be_a_task_kind(self):
+        # A bare string would skip the goal check and run clutter rules.
+        with pytest.raises(ConfigError, match="task.kind='block_stacking'"):
+            TaskConfig(kind="block_stacking", n_blocks=3, goal_stack_height=9)
+
+    @pytest.mark.parametrize("prims", [
+        (Primitive.PLACE, Primitive.PICK, Primitive.PICK),
+        [Primitive.PLACE, Primitive.PICK],
+        {Primitive.PICK, Primitive.PLACE},
+    ])
+    def test_allowed_primitives_canonical(self, prims):
+        task = stacking_task(allowed_primitives=prims)
+        assert task.allowed_primitives == (Primitive.PICK, Primitive.PLACE)
+        assert task == stacking_task(
+            allowed_primitives=(Primitive.PICK, Primitive.PLACE))
+
+    def test_allowed_primitives_must_be_primitives(self):
+        with pytest.raises(ConfigError, match="task.allowed_primitives"):
+            stacking_task(allowed_primitives=("pick", Primitive.PLACE))
+
+    @pytest.mark.parametrize("task", [
+        # Every cell holds a block: no push has a free cell to go to.
+        dict(kind=TaskKind.CLUTTER_REMOVAL, n_blocks=4, width=2, height=2,
+             rotations=4),
+        # One column, and the only push directions are along the row.
+        dict(kind=TaskKind.CLUTTER_REMOVAL, n_blocks=1, width=1, height=3,
+             rotations=2),
+        # The scripted block sits against the edge it would be pushed over.
+        dict(kind=TaskKind.SCRIPTED_ARRANGEMENT, n_blocks=0, width=4,
+             height=1, rotations=1, layout="...1"),
+    ], ids=["full_grid", "no_direction_fits", "scripted_at_edge"])
+    @pytest.mark.parametrize("prims", [(Primitive.PUSH,),
+                                       (Primitive.PUSH, Primitive.PLACE)],
+                             ids=["push", "push_place"])
+    def test_push_without_pick_that_never_acts_rejected(self, task, prims):
+        with pytest.raises(ConfigError, match="can never act"):
+            TaskConfig(**task, allowed_primitives=prims)
+        # With pick allowed too, every reset can act.
+        TaskConfig(**task, allowed_primitives=prims + (Primitive.PICK,))
+
 
 def find_block(ws):
     occupied = np.argwhere(ws.heights)
@@ -528,14 +568,18 @@ def episodes(draw):
                               max_size=h * w).filter(any))
         layout = "\n".join("".join(str(c) if c else "." for c in
                                    cells[y * w:(y + 1) * w]) for y in range(h))
-        task = TaskConfig(kind=kind, n_blocks=0, layout=layout, **common)
+        fields = dict(n_blocks=0, layout=layout)
     else:
         low = 2 if kind is TaskKind.BLOCK_STACKING else 1
         assume(h * w >= low)
         n = draw(st.integers(low, h * w))
         goal = draw(st.integers(2, n)) if low == 2 else 0
-        task = TaskConfig(kind=kind, n_blocks=n, goal_stack_height=goal,
-                          **common)
+        fields = dict(n_blocks=n, goal_stack_height=goal)
+    try:
+        task = TaskConfig(kind=kind, **fields, **common)
+    except ConfigError:
+        # Without pick, a task on which no reset can push can never act.
+        assume(False)
     actions = draw(st.lists(st.builds(
         Action, st.sampled_from(Primitive), st.integers(-1, w),
         st.integers(-1, h), st.integers(-1, rotations)), max_size=40))

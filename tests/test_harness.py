@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from gridmanip import harness
-from gridmanip.gridsim import Primitive, TaskConfig, TaskKind
+from gridmanip.gridsim import ConfigError, Primitive, TaskConfig, TaskKind
 from gridmanip.harness import (ABLATION_VARIANTS, EpisodeSummary, RunConfig,
                                derive_seed, evaluate, fan_out,
                                ideal_actions, run_ablation, train,
                                variant_config)
-from gridmanip.policy import NoValidActionError
 from gridmanip.qfunc import QNetwork, TrainHyper, TrainingDivergence
 
 
@@ -152,12 +151,23 @@ class TestTrain:
         assert net_digest(copy.net) == net_digest(report.net)
 
     def test_unplayable_task_raises(self):
-        # A 2x2 grid full of blocks leaves no push a free cell to go to.
-        task = TaskConfig(kind=TaskKind.CLUTTER_REMOVAL, n_blocks=4,
-                          width=2, height=2,
+        # A 2x2 grid full of blocks leaves no push a free cell to go to, so
+        # the task is refused before any run starts.
+        with pytest.raises(ConfigError, match="task.allowed_primitives=push"):
+            TaskConfig(kind=TaskKind.CLUTTER_REMOVAL, n_blocks=4, width=2,
+                       height=2, allowed_primitives=(Primitive.PUSH,))
+
+    def test_dead_resets_dropped_until_one_can_act(self):
+        # Push only along +x: a reset whose free cell lies in the left
+        # column has no valid push.
+        task = TaskConfig(kind=TaskKind.CLUTTER_REMOVAL, n_blocks=3, width=2,
+                          height=2, rotations=1,
                           allowed_primitives=(Primitive.PUSH,))
-        with pytest.raises(NoValidActionError):
-            train(small_config(task=task, train_steps=5))
+        report = train(small_config(task=task, train_steps=30))
+        assert [r.step for r in report.records] == list(range(30))
+        dead = [ep for ep in report.episodes if ep.actions == 0]
+        assert dead
+        assert {ep.done_reason for ep in dead} == {"no_valid_action"}
 
     def test_buffered_prev_action_is_the_row_before(self):
         report = train(small_config(train_steps=120))
@@ -331,11 +341,12 @@ class TestAblation:
 
     def test_ladder_runs_and_aligns(self):
         cfg = small_config(train_steps=60, eval_runs=2)
-        out = run_ablation(cfg)
-        assert [name for name, _, _ in ABLATION_VARIANTS] == list(out)
-        lengths = {len(entry.report.success_curve) for entry in out.values()}
+        out = list(run_ablation(cfg))
+        assert [name for name, _, _ in ABLATION_VARIANTS] == \
+            [entry.name for entry in out]
+        lengths = {len(entry.report.success_curve) for entry in out}
         assert len(lengths) == 1
-        for entry in out.values():
+        for entry in out:
             assert len(entry.report.records) == 60
             assert 0.0 <= entry.metrics.completion_rate <= 1.0
 
@@ -406,16 +417,14 @@ class TestParallel:
 
     def test_ablation_forked_equals_serial_in_ladder_order(self, monkeypatch):
         cfg = small_config(train_steps=40, eval_runs=3)
-        order = {"serial": [], "forked": []}
         out = {}
         for path, cpus in (("serial", 1), ("forked", 2)):
             _use_cpus(monkeypatch, cpus)
-            out[path] = run_ablation(cfg, order[path].append)
+            out[path] = list(run_ablation(cfg))
         ladder = [name for name, _, _ in ABLATION_VARIANTS]
-        assert [e.name for e in order["serial"]] == \
-            [e.name for e in order["forked"]] == list(out["forked"]) == ladder
-        for name in ladder:
-            serial, parallel = out["serial"][name], out["forked"][name]
+        assert [e.name for e in out["serial"]] == \
+            [e.name for e in out["forked"]] == ladder
+        for serial, parallel in zip(out["serial"], out["forked"]):
             assert parallel.cfg == serial.cfg
             assert parallel.metrics == serial.metrics
             assert parallel.report.records == serial.report.records
@@ -436,8 +445,9 @@ class TestParallel:
         _diverge_full(monkeypatch)
         done = []
         with pytest.raises(TrainingDivergence):
-            run_ablation(small_config(train_steps=20, eval_runs=2),
-                         lambda entry: done.append(entry.name))
+            for entry in run_ablation(small_config(train_steps=20,
+                                                   eval_runs=2)):
+                done.append(entry.name)
         assert done == ["baseline", "tpgr"]
         assert not multiprocessing.active_children()
 

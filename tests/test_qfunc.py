@@ -191,8 +191,12 @@ def ref_train_step(net, batch, hp):
         ref_stack_backward(net.stacks[tr.action.primitive], cache, dq,
                            grads[tr.action.primitive])
         touched.add(tr.action.primitive)
-    for prim in touched:
-        net.stacks[prim].apply_sgd(grads[prim], hp.lr, hp.momentum)
+    for prim in touched:    # momentum SGD, v <- momentum * v + g
+        stack = net.stacks[prim]
+        for name, param in stack.params().items():
+            v = hp.momentum * stack.velocity.get(name, 0.0) + grads[prim][name]
+            stack.velocity[name] = v
+            param -= hp.lr * v
     return float(np.mean(per_losses)), per_losses
 
 
