@@ -3,6 +3,7 @@
     python3 scripts/fingerprint.py                 # print one sha256 per file
     python3 scripts/fingerprint.py --record        # store them as the reference
     python3 scripts/fingerprint.py --against       # diff against the reference
+    python3 scripts/fingerprint.py --against-rev REV   # diff against REV's src/
 
 Runs, in a temporary directory and from the ``src/`` of this checkout:
 ``gridmanip train --dump-replay`` on ``configs/default.ini``, ``gridmanip
@@ -21,6 +22,13 @@ version, the BLAS name and version and the machine type, because GEMM bits
 can differ between BLAS builds. ``--against`` exits 1 when any file differs,
 is missing or is new; on an environment without a reference it prints
 "no reference" and exits 0.
+
+``--against-rev REV`` needs no reference: it runs the fingerprint twice on
+this machine, each in a fresh process, once with the ``src/`` of git
+revision REV (exported with ``git archive`` into a temporary directory) and
+once with this checkout's ``src/``, both with this checkout's configs and
+run list. It names every file whose digest differs, is missing or is new,
+and then exits 1. ``--src DIR`` runs the fingerprint with the package in DIR.
 """
 
 import os
@@ -33,15 +41,17 @@ for _var in THREAD_VARS:
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import platform
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = Path(__file__).resolve().parent / "fingerprint_ref.json"
-sys.path.insert(0, str(ROOT / "src"))
 
 
 def environment_key():
@@ -115,6 +125,38 @@ def compare(found: dict, expected: dict) -> list:
     return problems
 
 
+def fingerprint_of(src) -> dict:
+    """The digests of a fingerprint run, in a fresh process, of the package
+    in ``src``."""
+    out = subprocess.run([sys.executable, __file__, "--src", str(src)],
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in out.splitlines()[1:])}
+
+
+def export_src(rev, dest: Path) -> Path:
+    """Write the ``src/`` of git revision ``rev`` under ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive",
+                              "--format=tar", rev, "src"],
+                             check=True, stdout=subprocess.PIPE).stdout
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, **safe)
+    return dest / "src"
+
+
+def against_rev(rev) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        expected = fingerprint_of(export_src(rev, Path(tmp)))
+    found = fingerprint_of(ROOT / "src")
+    problems = compare(found, expected)
+    for line in problems:
+        print(line)
+    print(f"fingerprint against {rev}: {len(found)} files, "
+          f"{'ok' if not problems else f'{len(problems)} mismatches'}")
+    return 1 if problems else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group()
@@ -123,10 +165,18 @@ def main(argv=None):
     mode.add_argument("--against", nargs="?", const=str(REFERENCE),
                       metavar="REF.json",
                       help="compare with a stored reference")
+    mode.add_argument("--against-rev", metavar="REV",
+                      help="compare with a run of git revision REV's src/")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="run the package in this directory "
+                             "(default: this checkout's src/)")
     args = parser.parse_args(argv)
 
     key = environment_key()
     print(f"env {key}")
+    if args.against_rev:
+        return against_rev(args.against_rev)
+    sys.path.insert(0, str(args.src.resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         run_all(work)

@@ -23,13 +23,19 @@ from .gridsim import (ConfigError, DoneReason, Primitive, TaskConfig,
                       TaskKind, check_value, theta_radians, valid_action_mask)
 from .policy import (ExplorationState, NoValidActionError, epsilon_greedy_decay,
                      greedy_action, select_action, update_exploration)
-from .qfunc import QNetwork, TrainHyper, compute_target, forward_all, train_step
+from .qfunc import (QNetwork, TrainHyper, compute_target, forward_all,
+                    forward_one, train_step)
 from .replay import ReplayBuffer, Transition
 from .reward import (RewardParams, baseline_reward, spike_reward_map,
                      step_reward, tpg_reward_map)
 
 REWARD_KINDS = ("tpg", "baseline")
 EXPLORATION_KINDS = ("lae", "decay")
+# Bound on the largest reward weight x max(1, kernel peak) x (1 + gamma),
+# which bounds the reward map's peak and every target. build_target_map's
+# y * grid then stays below its square, 1e240, as does the robust loss's
+# square of a target at loss_scale 1: far below the float64 maximum, 1.8e308.
+REWARD_SCALE_LIMIT = 1e120
 
 # SeedSequence stream tags.
 _STREAM_EPISODE = 0
@@ -88,6 +94,16 @@ class RunConfig:
         check_value("run.checkpoint_every", self.checkpoint_every,
                     self.checkpoint_every >= 0,
                     ">= 0 (0: no periodic checkpoint)")
+        weight = max(self.reward.weights.values())
+        scale = (weight * max(1.0, self.reward.kernel_peak)
+                 * (1.0 + self.hyper.gamma))
+        if not scale <= REWARD_SCALE_LIMIT:
+            key = next(f"reward.weight_{p.value}"
+                       for p, w in self.reward.weights.items() if w == weight)
+            raise ConfigError(
+                f"{key}={weight} gives a reward scale of {scale:g} (weight x "
+                f"max(1, kernel peak) x (1 + network.gamma)); it must be <= "
+                f"{REWARD_SCALE_LIMIT:g}, or targets overflow")
         floor, span = self.decay_floor, self.decay_span
         check_value("policy.decay_rate", self.decay_rate,
                     0 <= self.decay_rate <= 1, "in [0, 1]")
@@ -182,8 +198,10 @@ def _play(net, task: TaskConfig, seeds, choose):
     """The episode-step loop that training and evaluation share.
 
     For each seed: reset the world, then step until the episode ends. A step
-    builds the validity masks, runs the Q maps of the primitives with a valid
-    pose, picks an action with ``choose(ws, q_maps, masks)`` and executes it.
+    builds the validity masks, picks an action with
+    ``choose(ws, q_maps, q_one, masks)`` and executes it. Only ``choose``
+    runs the network: ``q_maps()`` gives the Q maps of the primitives with a
+    valid pose, ``q_one(primitive, r)`` one rotation of one primitive's.
     Yields ``(ws, obs, prev, progress, action, result)``, where obs, the
     previous action ``prev`` (None at the episode's start) and progress are
     what the action was chosen from. A dead end (no valid pose, or ``choose``
@@ -196,7 +214,8 @@ def _play(net, task: TaskConfig, seeds, choose):
         while True:
             masks = {p: valid_action_mask(ws, p) for p in task.allowed_primitives}
             actable = [p for p, m in masks.items() if m.any()]
-            action = (choose(ws, forward_all(net, obs, prev, actable), masks)
+            action = (choose(ws, partial(forward_all, net, obs, prev, actable),
+                             partial(forward_one, net, obs, prev), masks)
                       if actable else None)
             result = None if action is None else gridsim.step(ws, action)
             yield ws, obs, prev, progress, action, result
@@ -243,8 +262,9 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
     seeds = (derive_seed(cfg.seed, _STREAM_EPISODE, episode)
              for episode in itertools.count())
     # The policy reads eps when it is called: the current step's.
-    steps = _play(net, cfg.task, seeds, lambda ws, q_maps, masks: select_action(
-        q_maps, masks, eps, policy_rng))
+    steps = _play(net, cfg.task, seeds, lambda ws, q_maps, q_one, masks:
+                  select_action(q_maps, q_one, masks, cfg.task.rotations, eps,
+                                policy_rng))
     records, episodes = [], []
     step_i = 0
 
@@ -321,9 +341,9 @@ def _eval_run(net: QNetwork, task: TaskConfig, seed: int) -> EvalRun:
     """One greedy run from a fresh reset with ``seed``."""
     tallest = []    # per pick: at the tallest (2+) stack?
 
-    def choose(ws, q_maps, masks):
+    def choose(ws, q_maps, _, masks):
         try:
-            action = greedy_action(q_maps, masks)
+            action = greedy_action(q_maps(), masks)
         except NoValidActionError:
             return None
         if action.primitive is Primitive.PICK:

@@ -4,7 +4,8 @@ Two exploration schemes share the same selection core: a loss-adjusted
 epsilon that tracks an exponential moving average of a bounded Boltzmann
 transform of the training loss, and a plain decaying epsilon-greedy
 baseline. Greedy selection is deterministic with lexicographic tie-breaking
-(primitive order, rotation, row, column).
+(primitive order, rotation, row, column). An exploration draw needs the Q
+value of its one drawn entry only, so it computes that alone.
 """
 
 import math
@@ -57,18 +58,9 @@ def epsilon_greedy_decay(step: int, floor: float = 0.1, span: float = 0.4,
     return floor + span * rate ** step
 
 
-def _valid_counts(q_maps, masks):
-    counts = []
-    for prim in PRIMITIVE_ORDER:
-        if prim not in q_maps:
-            continue
-        rotations = q_maps[prim].shape[0]
-        counts.append((prim, rotations * int(masks[prim].sum())))
-    return counts
-
-
-def _uniform_valid(q_maps, masks, rng):
-    counts = _valid_counts(q_maps, masks)
+def _uniform_valid(q_one, masks, rotations, rng):
+    counts = [(prim, rotations * int(masks[prim].sum()))
+              for prim in PRIMITIVE_ORDER if prim in masks]
     total = sum(c for _, c in counts)
     if total == 0:
         raise NoValidActionError("no valid pose under any primitive mask")
@@ -77,13 +69,11 @@ def _uniform_valid(q_maps, masks, rng):
         if draw >= count:
             draw -= count
             continue
-        rotations = q_maps[prim].shape[0]
-        n_cells = count // rotations
-        r, cell = divmod(draw, n_cells)
+        r, cell = divmod(draw, count // rotations)
         ys, xs = np.nonzero(masks[prim])
         y, x = int(ys[cell]), int(xs[cell])
         return Action(primitive=prim, x=x, y=y, theta_index=r,
-                      q_value=float(q_maps[prim][r, y, x]))
+                      q_value=float(q_one(prim, r)[y, x]))
     raise AssertionError("unreachable")
 
 
@@ -110,10 +100,16 @@ def greedy_action(q_maps: dict, masks: dict) -> Action:
     return best
 
 
-def select_action(q_maps: dict, masks: dict, epsilon: float,
-                  rng: np.random.Generator) -> Action:
-    """Epsilon-gated choice between a uniform draw over valid entries and
-    the greedy argmax. The returned action carries the Q at its entry."""
+def select_action(q_maps, q_one, masks: dict, rotations: int,
+                  epsilon: float, rng: np.random.Generator) -> Action:
+    """Epsilon-gated choice between a uniform draw over the ``rotations`` x
+    valid cells of each primitive's mask and the greedy argmax. The returned
+    action carries the Q at its entry.
+
+    The Q values are computed on demand: an exploration draw computes one,
+    from the (h, w) map ``q_one(primitive, r)``; a greedy draw computes every
+    map with ``q_maps()``, as ``greedy_action`` takes them.
+    """
     if float(rng.random()) < epsilon:
-        return _uniform_valid(q_maps, masks, rng)
-    return greedy_action(q_maps, masks)
+        return _uniform_valid(q_one, masks, rotations, rng)
+    return greedy_action(q_maps(), masks)

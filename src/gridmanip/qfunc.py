@@ -324,6 +324,13 @@ def forward_all(net: QNetwork, obs, prev_action, primitives) -> dict:
             for prim in primitives}
 
 
+def forward_one(net: QNetwork, obs, prev_action, primitive, theta_index):
+    """One rotation's (h, w) Q grid of one primitive: the same floats as that
+    entry of ``forward_all``'s map set, for one stack forward."""
+    return forward_rotation(net, stack_input(obs, prev_action), obs.shape,
+                            primitive, theta_index)[0]
+
+
 # ---------------------------------------------------------------------------
 # targets and loss
 

@@ -22,7 +22,10 @@ order and shifts the order once (twice once full, to evict);
 calls and two masked copies of the order; ``sample`` and ``probabilities``
 scatter the rank law through the order, with no sort, and ``sample`` runs
 one full cumulative sum plus, per later draw, one over the tail from the
-item drawn last. None of them walks the transitions in Python. On a
+item drawn last. ``probabilities`` and single draws keep the scattered law
+and its cumulative sum until the buffer next changes, so repeated single
+draws from an unchanged buffer skip both; a batch draw rewrites its own
+copy, so training pays no extra copy. None of them walks the transitions in Python. On a
 2-vCPU x86-64 VM with NumPy 2.4, one push, sample and update of k = 8 take
 about 0.15 ms together at N = 4000, 0.10 ms at N = 2000 and 0.07 ms at
 N = 50.
@@ -77,6 +80,7 @@ class ReplayBuffer:
         self._order = np.empty(capacity, dtype=complex)
         self._rank_law = (1.0 / np.arange(1, capacity + 1)) ** rank_exponent
         self._next_index = 0
+        self._law = None        # see _sampleable_law
 
     def __len__(self):
         return len(self._items)
@@ -101,6 +105,7 @@ class ReplayBuffer:
         """Store with priority equal to the current maximum (1.0 if empty)."""
         if self.has_pending:
             raise ReplayError("previous transition still pending; finalize first")
+        self._law = None
         n = len(self._items)
         order = self._order
         priority = -order[0].real if n else 1.0
@@ -126,6 +131,7 @@ class ReplayBuffer:
         """Attach the follow-up reward to the most recent transition."""
         if not self.has_pending:
             raise ReplayError("no pending transition to finalize")
+        self._law = None
         self._items[-1].r_next = float(r_next)
 
     def _rank_weights(self, n):
@@ -140,10 +146,19 @@ class ReplayBuffer:
         weights[slots] = self._rank_law[:n]
         return weights
 
+    def _sampleable_law(self):
+        """The sampleable items' rank weights and their cumulative sum, kept
+        until push, update_priorities or finalize_pending changes the buffer.
+        Callers only read them."""
+        if self._law is None:
+            weights = self._rank_weights(self._sampleable())
+            self._law = weights, weights.cumsum()
+        return self._law
+
     def probabilities(self):
         """Normalized single-draw distribution over sampleable items, in
         insertion order."""
-        weights = self._rank_weights(self._sampleable())
+        weights, _ = self._sampleable_law()
         return weights / weights.sum()
 
     def sample(self, k: int, rng: np.random.Generator):
@@ -152,8 +167,13 @@ class ReplayBuffer:
         n = self._sampleable()
         if n < k:
             raise UnderfullError(f"need {k} sampleable transitions, have {n}")
-        weights = self._rank_weights(n)
-        cdf = weights.cumsum()
+        if k == 1:
+            weights, cdf = self._sampleable_law()
+        else:
+            # Later draws rewrite both, so they are built afresh and not
+            # kept: in training the buffer changes between draws anyway.
+            weights = self._rank_weights(n)
+            cdf = weights.cumsum()
         chosen = []
         # One call for k uniforms draws what k single calls would.
         for draw, u in enumerate(rng.random(k)):
@@ -186,6 +206,7 @@ class ReplayBuffer:
                 latest[insert_index] = priority
         if not latest:
             return
+        self._law = None
         moved = np.fromiter(latest, np.intp, len(latest))
         new = np.fromiter(latest.values(), float, len(latest))
         slots = moved - oldest

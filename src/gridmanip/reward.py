@@ -30,6 +30,11 @@ class RewardParams:
         return self.anisotropy * self.sigma_y
 
     @property
+    def kernel_peak(self):
+        """The Gaussian density at its centre, 1 / (2 pi sigma_x sigma_y)."""
+        return 1.0 / (2.0 * math.pi * self.sigma_x * self.sigma_y)
+
+    @property
     def truncation(self):
         """Kernel half-width in cells, before any grid caps it."""
         return math.ceil(3.0 * self.sigma_x)
@@ -48,7 +53,7 @@ class RewardParams:
         area = 2.0 * math.pi * sx * sy
         if not (all(0 < v < math.inf for v in (area, 2.0 * sx * sx,
                                                2.0 * sy * sy))
-                and 1.0 / area < math.inf):
+                and self.kernel_peak < math.inf):
             raise ConfigError(
                 f"reward.sigma_y={sy} and reward.anisotropy={self.anisotropy} "
                 f"give sigma_x={sx}; 2*pi*sigma_x*sigma_y, its inverse and "
@@ -97,8 +102,7 @@ def gaussian_kernel(theta: float, params: RewardParams, k=None) -> np.ndarray:
     ct, st = math.cos(theta), math.sin(theta)
     xr = dxg * ct + dyg * st
     yr = -dxg * st + dyg * ct
-    norm = 1.0 / (2.0 * math.pi * sx * sy)
-    return norm * np.exp(-(xr ** 2 / (2.0 * sx ** 2) + yr ** 2 / (2.0 * sy ** 2)))
+    return params.kernel_peak * np.exp(-(xr ** 2 / (2.0 * sx ** 2) + yr ** 2 / (2.0 * sy ** 2)))
 
 
 def _spike(value, x, y, shape):

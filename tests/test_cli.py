@@ -280,6 +280,10 @@ class TestTrainCommand:
         ("reward.sigma_y=1e-300", "reward.sigma_y=1e-300"),
         ("reward.sigma_y=1e300", "reward.sigma_y=1e+300"),
         ("reward.anisotropy=1e300", "reward.anisotropy=1e+300"),
+        ("reward.weight_pick=1e200 reward.weight_place=1e200",
+         "reward.weight_pick=1e+200"),
+        ("reward.weight_push=1e119 reward.sigma_y=0.1 reward.anisotropy=1",
+         "reward.weight_push=1e+119"),
         ("policy.alpha_scale=nan", "policy.alpha_scale"),
         ("policy.sigma=inf", "policy.sigma"),
         ("network.loss_alpha=nan", "network.loss_alpha"),

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import multiprocessing
 import os
 import pickle
@@ -10,12 +11,17 @@ import numpy as np
 import pytest
 
 from gridmanip import harness
-from gridmanip.gridsim import ConfigError, Primitive, TaskConfig, TaskKind
+from gridmanip.gridsim import (Action, ConfigError, Primitive, TaskConfig,
+                               TaskKind)
 from gridmanip.harness import (ABLATION_VARIANTS, EpisodeSummary, RunConfig,
                                derive_seed, evaluate, fan_out,
                                ideal_actions, run_ablation, train,
                                variant_config)
-from gridmanip.qfunc import QNetwork, TrainHyper, TrainingDivergence
+from gridmanip.qfunc import (QNetwork, TrainHyper, TrainingDivergence,
+                             build_target_map, compute_target, robust_loss)
+from gridmanip.reward import RewardParams, step_reward, tpg_reward_map
+
+from test_policy import eager_select_action
 
 
 def small_config(**kw):
@@ -238,6 +244,68 @@ class TestTrain:
         cfg = small_config(exploration_kind="decay", decay_floor=0.6,
                            decay_span=0.4, train_steps=5)
         assert train(cfg).records[0].epsilon == 1.0
+
+    @pytest.mark.parametrize("exploration", [
+        dict(),
+        # epsilon fixed at 1: every step explores
+        dict(exploration_kind="decay", decay_floor=1.0, decay_span=0.0),
+    ], ids=["lae", "epsilon_one"])
+    def test_lazy_maps_equal_eager_oracle(self, exploration, monkeypatch):
+        cfg = small_config(train_steps=200, **exploration)
+        map_sets = []
+        real_forward_all = harness.forward_all
+
+        def counted(*args):
+            map_sets.append(args)
+            return real_forward_all(*args)
+
+        monkeypatch.setattr(harness, "forward_all", counted)
+        lazy = train(cfg)
+        lazy_map_sets = len(map_sets)
+        # The oracle computes every map on every step, then selects as
+        # selection did before the maps became lazy.
+        monkeypatch.setattr(
+            harness, "select_action",
+            lambda q_maps, q_one, masks, rotations, epsilon, rng:
+            eager_select_action(q_maps(), masks, epsilon, rng))
+        eager = train(cfg)
+        assert len(map_sets) - lazy_map_sets == 200
+        assert lazy.records == eager.records
+        assert lazy.episodes == eager.episodes
+        assert net_digest(lazy.net) == net_digest(eager.net)
+        assert lazy.final_exploration == eager.final_exploration
+        if exploration:
+            assert lazy_map_sets == 0
+        else:
+            assert 0 < lazy_map_sets < 200
+
+    def test_reward_scale_bounded(self):
+        # weight x max(1, kernel peak) x (1 + gamma): 1e200 x 1 x 1.5 is over
+        # the limit, 1e100 x 1 x 1.5 under it.
+        with pytest.raises(ConfigError, match="reward.weight_push=1e"):
+            small_config(reward=RewardParams(
+                weights={p: 1e200 for p in Primitive}))
+        small_config(reward=RewardParams(weights={p: 1e100 for p in Primitive}))
+        # With sigma_y=0.1 and anisotropy 1 the peak is 1/(0.02 pi), ~15.9.
+        peaky = dict(sigma_y=0.1, anisotropy=1.0)
+        hyper = TrainHyper(gamma=1.0)
+        weight = 0.99 * harness.REWARD_SCALE_LIMIT / (2.0 / (0.02 * math.pi))
+        with pytest.raises(ConfigError, match="reward scale"):
+            small_config(hyper=hyper, reward=RewardParams(
+                weights={p: 1.02 * weight for p in Primitive}, **peaky))
+        cfg = small_config(hyper=hyper, reward=RewardParams(
+            weights={p: weight for p in Primitive}, **peaky))
+        # At the limit, the largest reward and target keep build_target_map's
+        # product and the loss's square finite, with room to spare.
+        action = Action(Primitive.PICK, 3, 3, 0, 0.0)
+        r_tp = step_reward(Primitive.PICK, 1, 1.0, 0.0, cfg.reward)
+        rmap = tpg_reward_map(r_tp, (3, 3, 0.0), cfg.reward, (7, 7))
+        y = compute_target(r_tp, r_tp, cfg.hyper.gamma)
+        assert (y * rmap.grid).max() < 1e250
+        targets = build_target_map(rmap, action, y)
+        losses, _ = robust_loss(-targets, cfg.hyper.loss_alpha,
+                                cfg.hyper.loss_scale)
+        assert np.isfinite(losses).all() and losses.max() > 1e100
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gridmanip.gridsim import Primitive, PRIMITIVE_ORDER
+from gridmanip.gridsim import Action, Primitive, PRIMITIVE_ORDER
 from gridmanip.policy import (ExplorationState, NoValidActionError,
                               boltzmann_loss_term, epsilon_greedy_decay,
                               greedy_action, select_action, update_exploration)
@@ -163,6 +163,14 @@ class TestGreedy:
             greedy_action(q, masks)
 
 
+def _select(q, masks, epsilon, rng):
+    """select_action on the ready maps ``q``, which all share one rotation
+    count."""
+    rotations = next(iter(q.values())).shape[0]
+    return select_action(lambda: q, lambda prim, r: q[prim][r], masks,
+                         rotations, epsilon, rng)
+
+
 class TestSelect:
     def test_epsilon_zero_equals_greedy(self):
         rng = np.random.default_rng(5)
@@ -172,7 +180,7 @@ class TestSelect:
             if not any(m.any() for m in masks.values()):
                 continue
             state = ExplorationState(epsilon=0.0)
-            a = select_action(q, masks, state.epsilon, rng)
+            a = _select(q, masks, state.epsilon, rng)
             g = greedy_action(q, masks)
             assert (a.primitive, a.theta_index, a.x, a.y) == \
                 (g.primitive, g.theta_index, g.x, g.y)
@@ -184,7 +192,7 @@ class TestSelect:
         rng = np.random.default_rng(0)
         state = ExplorationState(epsilon=np.nextafter(1.0, 0.0))
         for _ in range(20):
-            a = select_action(q, masks, state.epsilon, rng)
+            a = _select(q, masks, state.epsilon, rng)
             assert (a.primitive, a.x, a.y) == (Primitive.PICK, 2, 1)
 
     def test_uniform_frequencies_four_candidates(self):
@@ -200,7 +208,7 @@ class TestSelect:
         counts = {c: 0 for c in cells}
         n = 100_000
         for _ in range(n):
-            a = select_action(q, masks, state.epsilon, rng)
+            a = _select(q, masks, state.epsilon, rng)
             counts[(a.x, a.y)] += 1
         for c in cells:
             assert abs(counts[c] / n - 0.25) < 0.01
@@ -209,7 +217,7 @@ class TestSelect:
         rng = np.random.default_rng(9)
         q = _qmaps(rng)
         masks = _full_masks()
-        a = select_action(q, masks, 0.7, rng)
+        a = _select(q, masks, 0.7, rng)
         assert a.q_value == q[a.primitive][a.theta_index, a.y, a.x]
 
     def test_never_returns_invalid_pose(self):
@@ -224,7 +232,7 @@ class TestSelect:
             if not any(m.any() for m in masks.values()):
                 continue
             state = ExplorationState(epsilon=float(rng.random()))
-            a = select_action(q, masks, state.epsilon, rng)
+            a = _select(q, masks, state.epsilon, rng)
             assert masks[a.primitive][a.y, a.x]
             hits += 1
         assert hits > 90_000
@@ -234,6 +242,108 @@ class TestSelect:
         masks = {p: np.zeros((2, 2), dtype=bool) for p in PRIMITIVE_ORDER}
         rng = np.random.default_rng(0)
         with pytest.raises(NoValidActionError):
-            select_action(q, masks, 1 - 1e-9, rng)
+            _select(q, masks, 1 - 1e-9, rng)
         with pytest.raises(NoValidActionError):
-            select_action(q, masks, 0.0, rng)
+            _select(q, masks, 0.0, rng)
+
+
+# Reference: selection as it was before the Q maps became lazy. Every map of
+# every actable primitive was computed first; the count of a primitive's
+# entries came from its map's rotation count.
+
+def eager_select_action(q_maps, masks, epsilon, rng):
+    if float(rng.random()) < epsilon:
+        counts = [(prim, q_maps[prim].shape[0] * int(masks[prim].sum()))
+                  for prim in PRIMITIVE_ORDER if prim in q_maps]
+        total = sum(c for _, c in counts)
+        if total == 0:
+            raise NoValidActionError("no valid pose under any primitive mask")
+        draw = int(rng.integers(total))
+        for prim, count in counts:
+            if draw >= count:
+                draw -= count
+                continue
+            rotations = q_maps[prim].shape[0]
+            r, cell = divmod(draw, count // rotations)
+            ys, xs = np.nonzero(masks[prim])
+            y, x = int(ys[cell]), int(xs[cell])
+            return Action(primitive=prim, x=x, y=y, theta_index=r,
+                          q_value=float(q_maps[prim][r, y, x]))
+        raise AssertionError("unreachable")
+    return greedy_action(q_maps, masks)
+
+
+class CountingMaps:
+    """The two lazy views select_action takes, over ready maps, counting
+    what is asked of them."""
+
+    def __init__(self, q):
+        self.q = q
+        self.full_calls = 0
+        self.one_calls = []
+
+    def full(self):
+        self.full_calls += 1
+        return self.q
+
+    def one(self, prim, r):
+        self.one_calls.append((prim, r))
+        return self.q[prim][r]
+
+
+class TestLazySelect:
+    def test_equals_eager_version(self):
+        # Masks as the episode loop builds them: one per allowed primitive,
+        # maps only for those with a valid cell.
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            rotations = int(rng.integers(1, 9))
+            h, w = (int(v) for v in rng.integers(1, 6, size=2))
+            allowed = [p for p in PRIMITIVE_ORDER if rng.random() < 0.7]
+            masks = {p: rng.random((h, w)) < rng.random() for p in allowed}
+            actable = [p for p in allowed if masks[p].any()]
+            if not actable:
+                continue
+            q = {p: rng.normal(size=(rotations, h, w)) for p in actable}
+            epsilon = float(rng.choice([0.0, 1.0, rng.random()]))
+            seed = int(rng.integers(2**32))
+            lazy_rng = np.random.default_rng(seed)
+            eager_rng = np.random.default_rng(seed)
+            maps = CountingMaps(q)
+            got = select_action(maps.full, maps.one, masks, rotations,
+                                epsilon, lazy_rng)
+            assert got == eager_select_action(q, masks, epsilon, eager_rng)
+            assert lazy_rng.bit_generator.state == \
+                eager_rng.bit_generator.state
+
+    def test_explore_computes_one_rotation(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            q = _qmaps(rng, rotations=4)
+            masks = {p: rng.random((4, 4)) < 0.5 for p in PRIMITIVE_ORDER}
+            masks[Primitive.PICK][1, 1] = True
+            maps = CountingMaps(q)
+            a = select_action(maps.full, maps.one, masks, 4, 1.0, rng)
+            assert maps.full_calls == 0
+            assert maps.one_calls == [(a.primitive, a.theta_index)]
+            assert a.q_value == q[a.primitive][a.theta_index, a.y, a.x]
+
+    def test_greedy_computes_the_maps_once(self):
+        rng = np.random.default_rng(6)
+        q = _qmaps(rng, rotations=4)
+        maps = CountingMaps(q)
+        a = select_action(maps.full, maps.one, _full_masks(), 4, 0.0, rng)
+        assert (maps.full_calls, maps.one_calls) == (1, [])
+        assert a == greedy_action(q, _full_masks())
+
+    def test_empty_masks_count_no_cells(self):
+        # An allowed primitive without a valid cell has no map, and no draw
+        # lands on it.
+        masks = {p: np.zeros((3, 3), dtype=bool) for p in PRIMITIVE_ORDER}
+        masks[Primitive.PLACE][2, 0] = True
+        q = {Primitive.PLACE: np.arange(18.0).reshape(2, 3, 3)}
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            maps = CountingMaps(q)
+            a = select_action(maps.full, maps.one, masks, 2, 1.0, rng)
+            assert (a.primitive, a.x, a.y) == (Primitive.PLACE, 0, 2)

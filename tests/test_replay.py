@@ -229,6 +229,48 @@ class TestInterleaving:
                 "primitive", "x", "y", "theta_index"} <= records[0].keys()
 
 
+class TestLawCache:
+    """sample and probabilities keep the rank law and its cumulative sum
+    until the buffer changes; the draws and bits are those of a fresh one."""
+
+    @staticmethod
+    def fresh_law(buf):
+        weights = buf._rank_weights(buf.sampleable_count())
+        return weights.tobytes(), weights.cumsum().tobytes()
+
+    def test_kept_while_unchanged_and_never_rewritten(self):
+        buf = filled_buffer([5.0, 0.3, 2.0, 2.0, 9.0])
+        law = buf._sampleable_law()
+        rng = np.random.default_rng(2)
+        for k in (1, 3, 1, 5, 1):
+            buf.sample(k, rng)
+            assert buf._law is law
+            assert tuple(a.tobytes() for a in law) == self.fresh_law(buf)
+
+    @pytest.mark.parametrize("pending, change", [
+        (False, lambda buf: buf.push(make_transition(r_next=None))),
+        (False, lambda buf: buf.update_priorities(
+            [buf._items[1].insert_index], [7.0])),
+        (True, lambda buf: buf.finalize_pending(0.5)),
+    ], ids=["push", "update_priorities", "finalize_pending"])
+    def test_dropped_when_the_buffer_changes(self, pending, change):
+        buf = filled_buffer([5.0, 0.3, 2.0])
+        if pending:
+            buf.push(make_transition(r_next=None))
+        buf.probabilities()
+        change(buf)
+        assert buf._law is None
+        weights, cdf = buf._sampleable_law()
+        assert (weights.tobytes(), cdf.tobytes()) == self.fresh_law(buf)
+
+    def test_batch_draw_after_a_change_keeps_nothing(self):
+        # Training's pattern: the buffer changes before every batch draw, so
+        # the draw builds its own law and caches no copy of it.
+        buf = filled_buffer([5.0, 0.3, 2.0, 2.0, 9.0])
+        buf.sample(3, np.random.default_rng(0))
+        assert buf._law is None
+
+
 # Reference: the list-based buffer that kept each priority on its Transition
 # and rescanned the list on every call. The array-backed buffer must match
 # it byte for byte: same draws from the same Generator, same probabilities,
