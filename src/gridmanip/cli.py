@@ -114,13 +114,20 @@ def _cmd_train(args):
     values, cfg = _load_effective_config(args)
     text = config_mod.config_text(values)
     out_dir = _prepare_out(args.out or "out", text)
+    written = []
 
     def checkpoint_cb(step, net):
-        qfunc.save_checkpoint(out_dir / f"checkpoint_step{step:06d}.bin", net,
-                              (cfg.task.height, cfg.task.width),
+        path = out_dir / f"checkpoint_step{step:06d}.bin"
+        qfunc.save_checkpoint(path, net, (cfg.task.height, cfg.task.width),
                               cfg_hash=qfunc.config_hash(text))
+        written.append(path)
 
-    report = harness.train(cfg, checkpoint_cb=checkpoint_cb)
+    try:
+        report = harness.train(cfg, checkpoint_cb=checkpoint_cb)
+    except TrainingDivergence as exc:
+        kept = (f"last periodic checkpoint {written[-1]}" if written
+                else "no periodic checkpoint was written")
+        raise TrainingDivergence(f"{exc} ({kept})") from exc
     _write_train_outputs(out_dir, report, cfg, text)
     if args.dump_replay:
         with open(out_dir / "replay_dump.jsonl", "w") as fh:
@@ -312,8 +319,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     except TrainingDivergence as exc:
-        print(f"training diverged: {exc} (last periodic checkpoint retained)",
-              file=sys.stderr)
+        print(f"training diverged: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

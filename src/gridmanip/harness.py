@@ -32,9 +32,11 @@ from .reward import (RewardParams, baseline_reward, spike_reward_map,
 REWARD_KINDS = ("tpg", "baseline")
 EXPLORATION_KINDS = ("lae", "decay")
 # Bound on the largest reward weight x max(1, kernel peak) x (1 + gamma),
-# which bounds the reward map's peak and every target. build_target_map's
-# y * grid then stays below its square, 1e240, as does the robust loss's
-# square of a target at loss_scale 1: far below the float64 maximum, 1.8e308.
+# which bounds the reward map's peak and every target, over min(1,
+# loss_scale). build_target_map's y * values then stays below its square,
+# 1e240, as does the robust loss's square of a target over loss_scale: far
+# below the float64 maximum, 1.8e308. The loss also divides by loss_scale
+# squared, which must not underflow to 0.
 REWARD_SCALE_LIMIT = 1e120
 
 # SeedSequence stream tags.
@@ -95,15 +97,18 @@ class RunConfig:
                     self.checkpoint_every >= 0,
                     ">= 0 (0: no periodic checkpoint)")
         weight = max(self.reward.weights.values())
+        c = self.hyper.loss_scale
         scale = (weight * max(1.0, self.reward.kernel_peak)
-                 * (1.0 + self.hyper.gamma))
-        if not scale <= REWARD_SCALE_LIMIT:
+                 * (1.0 + self.hyper.gamma)) / min(1.0, c)
+        if not (scale <= REWARD_SCALE_LIMIT and c * c > 0):
             key = next(f"reward.weight_{p.value}"
                        for p, w in self.reward.weights.items() if w == weight)
             raise ConfigError(
-                f"{key}={weight} gives a reward scale of {scale:g} (weight x "
-                f"max(1, kernel peak) x (1 + network.gamma)); it must be <= "
-                f"{REWARD_SCALE_LIMIT:g}, or targets overflow")
+                f"{key}={weight} with network.loss_scale={c} gives a reward "
+                f"scale of {scale:g} (weight x max(1, kernel peak) x (1 + "
+                f"network.gamma) / min(1, network.loss_scale)); it must be <= "
+                f"{REWARD_SCALE_LIMIT:g}, with network.loss_scale**2 > 0, or "
+                "targets and the loss overflow")
         floor, span = self.decay_floor, self.decay_span
         check_value("policy.decay_rate", self.decay_rate,
                     0 <= self.decay_rate <= 1, "in [0, 1]")
@@ -257,7 +262,8 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
     policy_rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_POLICY))
     replay_rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_REPLAY))
     buffer = ReplayBuffer(capacity=cfg.replay_capacity,
-                          rank_exponent=cfg.rank_exponent)
+                          rank_exponent=cfg.rank_exponent,
+                          max_height=cfg.task.n_blocks)
     lae = cfg.exploration
     seeds = (derive_seed(cfg.seed, _STREAM_EPISODE, episode)
              for episode in itertools.count())

@@ -370,12 +370,13 @@ def robust_loss(residual, alpha: float, c: float):
 
 
 def build_target_map(reward_map: RewardMap, action: Action, y: float):
-    """Per-pixel targets over the supervised mask, scaled so the executed
-    pixel carries exactly ``y``; all-zero when the spike itself is zero."""
-    executed = reward_map.grid[action.y, action.x]
+    """Per-pixel targets on the reward map's supervised box, scaled so the
+    executed pixel carries exactly ``y``; all-zero when the spike itself is
+    zero."""
+    executed = reward_map.at(action.y, action.x)
     if executed > 0.0:
-        return y * reward_map.grid / executed
-    return np.zeros_like(reward_map.grid)
+        return y * reward_map.values / executed
+    return np.zeros_like(reward_map.values)
 
 
 @dataclass(frozen=True)
@@ -404,7 +405,8 @@ def transition_loss(net: QNetwork, tr, hp: TrainHyper):
     ``transition_backward`` needs to differentiate their mean.
 
     Supervision covers only the executed primitive's map at the executed
-    rotation, on the reward map's supervised pixels.
+    rotation, on the reward map's supervised box. The losses are a flat
+    array, the box's pixels in row-major order.
     """
     x = stack_input(tr.observation, tr.prev_action)
     pred, cache, theta = forward_rotation(net, x, tr.observation.shape,
@@ -412,18 +414,19 @@ def transition_loss(net: QNetwork, tr, hp: TrainHyper):
                                           tr.action.theta_index)
     y = compute_target(tr.r_t, tr.r_next, hp.gamma)
     targets = build_target_map(tr.reward_map, tr.action, y)
-    mask = tr.reward_map.supervised_mask
-    residuals = pred[mask] - targets[mask]
+    box = tr.reward_map.box
+    residuals = (pred[box] - targets).ravel()
     losses, dresiduals = robust_loss(residuals, hp.loss_alpha, hp.loss_scale)
-    return losses, (pred, cache, theta, mask, dresiduals)
+    return losses, (pred, cache, theta, box, dresiduals)
 
 
 def transition_backward(net: QNetwork, tr, saved, grads, batch_size=1):
     """Accumulate the gradient of the transition's mean loss, divided by
     ``batch_size``, into ``grads`` for the executed primitive's stack."""
-    pred, cache, theta, mask, dresiduals = saved
+    pred, cache, theta, box, dresiduals = saved
     dpred = np.zeros_like(pred)
-    dpred[mask] = dresiduals / (dresiduals.size * batch_size)
+    dbox = dpred[box]
+    dbox.flat = dresiduals / (dresiduals.size * batch_size)
     net.stacks[tr.action.primitive].backward(
         cache, rotate_grid_grad(dpred, theta), grads)
 

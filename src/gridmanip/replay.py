@@ -5,15 +5,25 @@ Items are sampled without replacement with probability proportional to
 order). The newest transition stays pending, and unsampleable, until the
 following step's reward arrives to complete its bootstrap target.
 
+The buffer keeps every row's fields in arrays, allocated at the first push
+and indexed by ring slot, ``insert_index % capacity``: the height grid in
+the narrowest unsigned dtype that holds ``max_height``, the holding flag and
+height norm, the action and the previous action (with a flag for none), the
+two rewards, and the reward map's supervised box with its values. ``sample``,
+``pending_item`` and ``items`` build ``Transition``s from the slots, so no
+Python object is kept per row. A row takes 84 bytes of scalar fields, its
+height grid and its box: 576 bytes at 10x10 with uint8 heights and the
+Gaussian reward's 7x7 box at the default sigmas, 128 bytes at 6x6 with the
+baseline's one-pixel box.
+
 The buffer owns every priority: they live in one preallocated float64 array
-kept in insertion order beside the list of transitions, which stay plain
-data. Eviction is oldest-first, so held insert indices are contiguous and a
-transition's slot is its insert index minus the oldest one's. Beside the
-priorities the buffer keeps every held item's rank order as a sorted array
-of complex keys ``-priority + 1j * insert_index``: NumPy orders complex
-numbers by real part, then imaginary part, so ascending keys are descending
-priorities with ties in insert order, and one ``searchsorted`` finds an
-item's exact place.
+kept in insertion order. Eviction is oldest-first, so held insert indices
+are contiguous and a transition's place in that array is its insert index
+minus the oldest one's. Beside the priorities the buffer keeps every held
+item's rank order as a sorted array of complex keys
+``-priority + 1j * insert_index``: NumPy orders complex numbers by real
+part, then imaginary part, so ascending keys are descending priorities with
+ties in insert order, and one ``searchsorted`` finds an item's exact place.
 
 Per call, with N items held and k drawn: ``sampleable_count`` and
 ``finalize_pending`` are O(1); ``push`` reads the maximum at the head of the
@@ -36,7 +46,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gridsim import Action, Observation, PRIMITIVE_ORDER
+from .reward import RewardMap
+
 PRIORITY_FLOOR = 1e-6
+
+# One action in a row: its primitive's place in PRIMITIVE_ORDER, its pose and
+# its Q value.
+_ACTION = np.dtype([("primitive", np.uint8), ("x", np.int32), ("y", np.int32),
+                    ("theta_index", np.int32), ("q_value", np.float64)])
+# A row's fields beside its height grid and reward box values. r_next is NaN
+# while the row is pending.
+_ROW = np.dtype([
+    ("holding", np.bool_), ("height_norm", np.int64),
+    ("action", _ACTION), ("prev_action", _ACTION), ("has_prev", np.bool_),
+    ("r_t", np.float64), ("r_next", np.float64),
+    ("box", [("y0", np.int32), ("x0", np.int32), ("h", np.int32),
+             ("w", np.int32)]),
+])
+
+
+def _action_fields(action):
+    return (PRIMITIVE_ORDER.index(action.primitive), action.x, action.y,
+            action.theta_index, action.q_value)
+
+
+def _action(fields):
+    primitive, x, y, theta_index, q_value = fields
+    return Action(PRIMITIVE_ORDER[primitive], x, y, theta_index, q_value)
 
 
 class ReplayError(RuntimeError):
@@ -66,37 +103,53 @@ class ReplayBuffer:
     """Rank-prioritized replay of at most ``capacity`` transitions.
 
     ``rank_exponent`` is fixed at construction: the rank law is tabulated
-    once for every rank up to ``capacity``.
+    once for every rank up to ``capacity``. Height grids are stored in the
+    narrowest unsigned dtype that holds ``max_height``, which training sets
+    to the task's block count; pushing a height that dtype cannot hold
+    raises ReplayError. ``push`` stamps the pushed transition's
+    ``insert_index``, and ``finalize_pending`` sets its ``r_next``, as well
+    as storing both.
     """
 
-    def __init__(self, capacity: int = 2000, rank_exponent: float = 0.7):
+    def __init__(self, capacity: int = 2000, rank_exponent: float = 0.7,
+                 max_height: int = 5):
         if capacity < 1:
             raise ValueError(f"replay capacity must be >= 1, got {capacity}")
+        if max_height < 0:
+            raise ValueError(f"max_height must be >= 0, got {max_height}")
         self.capacity = capacity
         self.rank_exponent = rank_exponent
-        self._items = []                          # oldest first
-        self._priorities = np.empty(capacity)     # [i] belongs to _items[i]
+        self.height_dtype = np.min_scalar_type(max_height)
+        self._len = 0
+        # [i] belongs to the i-th oldest item
+        self._priorities = np.empty(capacity)
         # [:len] holds every item's key, ascending: the rank order
         self._order = np.empty(capacity, dtype=complex)
         self._rank_law = (1.0 / np.arange(1, capacity + 1)) ** rank_exponent
         self._next_index = 0
         self._law = None        # see _sampleable_law
+        self._pending = None    # the pushed Transition awaiting its r_next
+        self._built = {}        # see _transition
+        # Per ring slot, allocated at the first push (see _store).
+        self._heights = self._rows = self._box_values = None
 
     def __len__(self):
-        return len(self._items)
+        return self._len
 
     @property
     def has_pending(self):
-        return bool(self._items) and self._items[-1].pending
+        return self._pending is not None
 
     def pending_item(self):
-        return self._items[-1] if self.has_pending else None
+        if self._pending is None:
+            return None
+        return self._transition(self._next_index - 1)
 
     def _sampleable(self):
         # Only the newest item can be pending. Internal callers use this,
         # not sampleable_count, so that per-method call counts and timings
         # of the public API reflect the caller's calls alone.
-        return len(self._items) - self.has_pending
+        return self._len - self.has_pending
 
     def sampleable_count(self):
         return self._sampleable()
@@ -105,39 +158,135 @@ class ReplayBuffer:
         """Store with priority equal to the current maximum (1.0 if empty)."""
         if self.has_pending:
             raise ReplayError("previous transition still pending; finalize first")
+        self._check(transition)
         self._law = None
-        n = len(self._items)
+        self._built = {}
+        n = self._len
         order = self._order
         priority = -order[0].real if n else 1.0
         if n == self.capacity:
-            evicted = self._items.pop(0)
-            pos = order[:n].searchsorted(complex(-self._priorities[0],
-                                                 evicted.insert_index))
+            oldest = self._next_index - n
+            pos = order[:n].searchsorted(complex(-self._priorities[0], oldest))
             order[pos:n - 1] = order[pos + 1:n]
             self._priorities[:-1] = self._priorities[1:]
             n -= 1
-        transition.insert_index = self._next_index
+        transition.insert_index = index = self._next_index
         self._next_index += 1
-        self._items.append(transition)
+        self._store(index % self.capacity, transition)
+        self._len = n + 1
+        if transition.pending:
+            self._pending = transition
         self._priorities[n] = priority
         # Ranks last among the items tied at the maximum: it is the newest.
-        key = complex(-priority, transition.insert_index)
+        key = complex(-priority, index)
         pos = order[:n].searchsorted(key)
         # A copy: NumPy shifts an overlapping slice rightwards element-wise.
         order[pos + 1:n + 1] = order[pos:n].copy()
         order[pos] = key
+
+    def _check(self, transition):
+        """Raise ReplayError unless the transition's grids fit the rows."""
+        heights = transition.observation.heights
+        if self._heights is not None and \
+                heights.shape != self._heights.shape[1:]:
+            raise ReplayError(f"observation shape {heights.shape}, the "
+                              f"buffer holds {self._heights.shape[1:]}")
+        if transition.reward_map.shape != heights.shape:
+            raise ReplayError(f"reward map shape {transition.reward_map.shape}"
+                              f" differs from observation shape {heights.shape}")
+        top = np.iinfo(self.height_dtype).max
+        if heights.min() < 0 or heights.max() > top:
+            raise ReplayError(f"heights span [{heights.min()}, {heights.max()}]"
+                              f", outside the {self.height_dtype} rows' "
+                              f"[0, {top}]")
+
+    def _store(self, slot, transition):
+        obs, prev = transition.observation, transition.prev_action
+        rmap = transition.reward_map
+        values = rmap.values
+        # Uninitialized: a slot is read only after it is written, and a
+        # box only on the part its row wrote. So no page of a slot not yet
+        # written is touched.
+        if self._rows is None:
+            self._heights = np.empty((self.capacity, *obs.shape),
+                                     self.height_dtype)
+            self._rows = np.empty(self.capacity, _ROW)
+            self._box_values = np.empty((self.capacity, 0, 0))
+        boxes = self._box_values
+        if values.shape[0] > boxes.shape[1] or values.shape[1] > boxes.shape[2]:
+            # Grow every slot's box to hold the larger one; copy the slots
+            # written so far.
+            grown = np.empty((self.capacity,
+                              *np.maximum(values.shape, boxes.shape[1:])))
+            used = min(self._next_index, self.capacity)
+            grown[:used, :boxes.shape[1], :boxes.shape[2]] = boxes[:used]
+            self._box_values = boxes = grown
+        self._heights[slot] = obs.heights
+        self._rows[slot] = (
+            obs.holding, obs.height_norm, _action_fields(transition.action),
+            _action_fields(prev) if prev is not None else (0, 0, 0, 0, 0.0),
+            prev is not None, transition.r_t,
+            math.nan if transition.pending else transition.r_next,
+            (rmap.y0, rmap.x0, *values.shape))
+        boxes[slot, :values.shape[0], :values.shape[1]] = values
+
+    def _transition(self, index):
+        """The held transition with this insert index, kept until push or
+        finalize_pending changes a row, so repeated draws from an unchanged
+        buffer build it once and get the same object."""
+        tr = self._built.get(index)
+        if tr is None:
+            tr = self._built[index] = self._build(index)
+        return tr
+
+    def _build(self, index):
+        """A Transition of the held row with this insert index, with copies
+        of its arrays."""
+        slot = index % self.capacity
+        (holding, height_norm, action, prev, has_prev, r_t, r_next,
+         (y0, x0, h, w)) = self._rows[slot].item()
+        heights = self._heights[slot].copy()
+        pending = self.has_pending and index == self._next_index - 1
+        return Transition(
+            observation=Observation(heights=heights, holding=holding,
+                                    height_norm=height_norm),
+            prev_action=_action(prev) if has_prev else None,
+            action=_action(action), r_t=r_t,
+            reward_map=RewardMap(y0=y0, x0=x0,
+                                 values=self._box_values[slot, :h, :w].copy(),
+                                 shape=heights.shape),
+            r_next=None if pending else r_next, insert_index=index)
+
+    def items(self):
+        """Every held transition, oldest first. A row whose previous action
+        holds the fields of the row before's action gets that Action object,
+        as training pushed them."""
+        out = []
+        for index in range(self._next_index - self._len, self._next_index):
+            tr = self._build(index)
+            slot, before = index % self.capacity, (index - 1) % self.capacity
+            if out and tr.prev_action is not None and \
+                    self._rows["prev_action"][slot].tobytes() == \
+                    self._rows["action"][before].tobytes():
+                tr.prev_action = out[-1].action
+            out.append(tr)
+        return out
 
     def finalize_pending(self, r_next: float):
         """Attach the follow-up reward to the most recent transition."""
         if not self.has_pending:
             raise ReplayError("no pending transition to finalize")
         self._law = None
-        self._items[-1].r_next = float(r_next)
+        self._built = {}
+        r_next = float(r_next)
+        self._rows["r_next"][(self._next_index - 1) % self.capacity] = r_next
+        self._pending.r_next = r_next
+        self._pending = None
 
     def _rank_weights(self, n):
         """(1/rank)^omega for the n oldest items, ranks by descending priority
         then insert order: the rank law scattered through the kept order."""
-        held = len(self._items)
+        held = self._len
         slots = self._order[:held].imag.astype(np.intp)
         slots -= self._next_index - held
         if n < held:
@@ -175,6 +324,7 @@ class ReplayBuffer:
             weights = self._rank_weights(n)
             cdf = weights.cumsum()
         chosen = []
+        oldest = self._next_index - self._len
         # One call for k uniforms draws what k single calls would.
         for draw, u in enumerate(rng.random(k)):
             if draw:
@@ -187,14 +337,14 @@ class ReplayBuffer:
                 weights[pos] = 0.0
             pos = int(cdf.searchsorted(u * cdf[-1], side="right"))
             pos = min(pos, n - 1)
-            chosen.append(self._items[pos])
-        return chosen, [t.insert_index for t in chosen]
+            chosen.append(oldest + pos)
+        return [self._transition(index) for index in chosen], chosen
 
     def update_priorities(self, ids, losses):
         """priority <- |loss| + floor; ids evicted in the meantime are skipped,
         and of repeated ids the last wins. A non-finite loss has no rank: it
         raises ReplayError before any priority changes."""
-        n = len(self._items)
+        n = self._len
         oldest = self._next_index - n
         latest = {}
         for insert_index, loss in zip(ids, losses):
@@ -227,10 +377,18 @@ class ReplayBuffer:
 
     def dump_records(self):
         """Plain-dict view of the buffer for post-hoc inspection."""
-        priorities = self._priorities[:len(self._items)].tolist()
-        return [{"insert_index": t.insert_index, "r_t": t.r_t,
-                 "r_next": t.r_next, "priority": priority,
-                 "primitive": t.action.primitive.value,
-                 "x": t.action.x, "y": t.action.y,
-                 "theta_index": t.action.theta_index}
-                for t, priority in zip(self._items, priorities)]
+        n = self._len
+        if not n:
+            return []
+        oldest = self._next_index - n
+        rows = self._rows[np.arange(oldest, oldest + n) % self.capacity]
+        r_next = rows["r_next"].tolist()
+        if self.has_pending:
+            r_next[-1] = None
+        return [{"insert_index": oldest + i, "r_t": r_t, "r_next": rn,
+                 "priority": priority,
+                 "primitive": PRIMITIVE_ORDER[action[0]].value,
+                 "x": action[1], "y": action[2], "theta_index": action[3]}
+                for i, (r_t, rn, priority, action) in enumerate(zip(
+                    rows["r_t"].tolist(), r_next,
+                    self._priorities[:n].tolist(), rows["action"].tolist()))]

@@ -3,8 +3,11 @@
 The shaped reward is a product of a per-primitive weight, the primitive
 success indicator and the overall task progress. The resulting scalar spike
 is smeared over neighbouring poses with a rotated anisotropic Gaussian and
-max-fused with the original spike; the smeared support doubles as the
-supervised-pixel mask for training.
+max-fused with the original spike. A map is kept as its supervised box alone,
+the pixels that carry a training target, and their values; every pixel off
+the box is 0. The Gaussian's box is its support clipped at the borders, at
+most (2K+1)^2 pixels for half-width K (7x7 at the default sigmas); the
+baseline's spike is a 1x1 box.
 """
 
 import math
@@ -62,8 +65,38 @@ class RewardParams:
 
 @dataclass(frozen=True)
 class RewardMap:
-    grid: np.ndarray             # (h, w) nonnegative reals
-    supervised_mask: np.ndarray  # (h, w) bools: pixels carrying a training target
+    """The supervised box ``values`` of a ``shape`` grid, at rows
+    y0:y0+bh and columns x0:x0+bw; the map is 0 off the box."""
+    y0: int
+    x0: int
+    values: np.ndarray           # (bh, bw) nonnegative reals: the box's pixels
+    shape: tuple                 # (h, w) of the whole grid
+
+    @property
+    def box(self):
+        """The (rows, columns) slices of the box in the grid."""
+        bh, bw = self.values.shape
+        return slice(self.y0, self.y0 + bh), slice(self.x0, self.x0 + bw)
+
+    def at(self, y, x):
+        """The map's value at grid pixel (y, x)."""
+        bh, bw = self.values.shape
+        dy, dx = y - self.y0, x - self.x0
+        return self.values[dy, dx] if 0 <= dy < bh and 0 <= dx < bw else 0.0
+
+    @property
+    def grid(self):
+        """The whole (h, w) map."""
+        grid = np.zeros(self.shape)
+        grid[self.box] = self.values
+        return grid
+
+    @property
+    def supervised_mask(self):
+        """(h, w) bools: the pixels that carry a training target."""
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self.box] = True
+        return mask
 
 
 def task_progress_reward(primitive: Primitive, success: int, progress: float,
@@ -105,12 +138,6 @@ def gaussian_kernel(theta: float, params: RewardParams, k=None) -> np.ndarray:
     return params.kernel_peak * np.exp(-(xr ** 2 / (2.0 * sx ** 2) + yr ** 2 / (2.0 * sy ** 2)))
 
 
-def _spike(value, x, y, shape):
-    grid = np.zeros(shape, dtype=np.float64)
-    grid[y, x] = value
-    return grid
-
-
 _KERNEL_CACHE = {}
 
 
@@ -124,15 +151,15 @@ def _cached_kernel(theta, params, k):
 
 
 def tpg_reward_map(r_tp: float, pose, params: RewardParams, shape) -> RewardMap:
-    """Smoothed reward map: max(spike, spike * Gaussian), plus the mask of
-    pixels inside the translated kernel support (clipped at the borders).
+    """Smoothed reward map: max(spike, spike * Gaussian) on the translated
+    kernel support clipped at the borders, which is the supervised box.
 
     ``pose`` is (x, y, theta_radians) of the executed action. Convolving a
     one-pixel spike pastes ``r_tp`` times the kernel around the pixel; adding
-    the paste onto zeros keeps a zero-padded convolution's bits (0.0 + -0.0
-    is +0.0). Offsets past ``max(h, w) - 1`` never reach the grid, so the
-    kernel's half-width is capped there: a wide Gaussian costs no more than
-    the grid.
+    0.0 to the paste keeps a zero-padded convolution's bits (0.0 + -0.0 is
+    +0.0). Off the box the convolution and the spike are both 0. Offsets past
+    ``max(h, w) - 1`` never reach the grid, so the kernel's half-width is
+    capped there: a wide Gaussian costs no more than the grid.
     """
     if r_tp < 0:
         raise ValueError("shaped reward must be nonnegative")
@@ -143,17 +170,15 @@ def tpg_reward_map(r_tp: float, pose, params: RewardParams, shape) -> RewardMap:
     x0, x1 = max(0, x - k), min(w, x + k + 1)
     kernel = _cached_kernel(theta, params, k)[y0 - y + k:y1 - y + k,
                                               x0 - x + k:x1 - x + k]
-    smoothed = np.zeros(shape, dtype=np.float64)
-    smoothed[y0:y1, x0:x1] += r_tp * kernel
-    mask = np.zeros(shape, dtype=bool)
-    mask[y0:y1, x0:x1] = True
-    spike = _spike(r_tp, x, y, shape)
-    return RewardMap(grid=np.maximum(spike, smoothed), supervised_mask=mask)
+    smoothed = r_tp * kernel + 0.0
+    spike = np.zeros_like(smoothed)
+    spike[y - y0, x - x0] = r_tp
+    return RewardMap(y0=y0, x0=x0, values=np.maximum(spike, smoothed),
+                     shape=tuple(shape))
 
 
 def spike_reward_map(r: float, pose, shape) -> RewardMap:
     """Unsmoothed map for the ablation baseline: one supervised pixel."""
     x, y = pose[0], pose[1]
-    mask = np.zeros(shape, dtype=bool)
-    mask[y, x] = True
-    return RewardMap(grid=_spike(r, x, y, shape), supervised_mask=mask)
+    return RewardMap(y0=y, x0=x, values=np.full((1, 1), r, dtype=np.float64),
+                     shape=tuple(shape))

@@ -84,7 +84,8 @@ def _transition_loss(net, transition, hp):
 
 def random_transition(rng, h=6, w=6, rotations=4):
     """A synthetic finalized transition on a random height grid, holding a
-    block, so that every scene channel of the input is non-zero."""
+    block, so that every scene channel of the input is non-zero; its reward
+    map is a random box around the executed pixel."""
     obs = Observation(heights=rng.integers(0, 4, size=(h, w)), holding=True,
                       height_norm=2)
     q_prev = rng.uniform(0.0, 1.0)
@@ -96,12 +97,15 @@ def random_transition(rng, h=6, w=6, rotations=4):
                     y=int(rng.integers(h)),
                     theta_index=int(rng.integers(rotations)),
                     q_value=float(rng.uniform(0, 1)))
-    grid = np.abs(rng.normal(size=(h, w)))
-    mask = rng.random(size=(h, w)) < 0.4
-    mask[action.y, action.x] = True
+    # A random supervised box around the executed pixel, random values on it.
+    y0, x0 = int(rng.integers(action.y + 1)), int(rng.integers(action.x + 1))
+    y1 = int(rng.integers(action.y + 1, h + 1))
+    x1 = int(rng.integers(action.x + 1, w + 1))
+    rmap = RewardMap(y0=y0, x0=x0,
+                     values=np.abs(rng.normal(size=(y1 - y0, x1 - x0))),
+                     shape=(h, w))
     return Transition(observation=obs, prev_action=prev, action=action,
-                      r_t=float(rng.uniform(0.1, 1.0)),
-                      reward_map=RewardMap(grid=grid, supervised_mask=mask),
+                      r_t=float(rng.uniform(0.1, 1.0)), reward_map=rmap,
                       r_next=float(rng.uniform(0.0, 1.0)))
 
 

@@ -15,11 +15,11 @@ import pytest
 from gridmanip import config as config_mod
 from gridmanip import harness
 from gridmanip.cli import main as cli_main
-from gridmanip.gridsim import Primitive
+from gridmanip.gridsim import Action, Observation, Primitive
 from gridmanip.policy import ExplorationState, boltzmann_loss_term, update_exploration
 from gridmanip.qfunc import compute_target
 from gridmanip.replay import ReplayBuffer, Transition
-from gridmanip.reward import (RewardParams, gaussian_kernel,
+from gridmanip.reward import (RewardParams, gaussian_kernel, spike_reward_map,
                               task_progress_reward, tpg_reward_map)
 from gridmanip.selftest import (brute_force_convolve, convolution_check,
                                 gradient_check)
@@ -152,8 +152,14 @@ class TestCriterion4ReplayLaw:
         buf = ReplayBuffer(capacity=16, rank_exponent=0.7)
         items = []
         for p in priorities:
-            t = Transition(observation=None, prev_action=None,
-                           action=None, r_t=0.0, reward_map=None, r_next=0.0)
+            # A real 1x1 row; only its priority matters here.
+            t = Transition(observation=Observation(np.zeros((1, 1), int),
+                                                   False, 1),
+                           prev_action=None,
+                           action=Action(Primitive.PICK, 0, 0, 0),
+                           r_t=0.0,
+                           reward_map=spike_reward_map(0.0, (0, 0), (1, 1)),
+                           r_next=0.0)
             buf.push(t)
             buf.update_priorities([t.insert_index], [p])
             items.append(t)

@@ -1,5 +1,6 @@
 import configparser
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +107,8 @@ class TestConfigModule:
             "rotations": table["task"]["rotations"]}
         assert keyword_defaults(ReplayBuffer) == {
             "capacity": table["replay"]["capacity"],
-            "rank_exponent": table["replay"]["rank_exponent"]}
+            "rank_exponent": table["replay"]["rank_exponent"],
+            "max_height": table["task"]["n_blocks"]}
         assert keyword_defaults(epsilon_greedy_decay) == {
             "floor": table["policy"]["decay_floor"],
             "span": table["policy"]["decay_span"],
@@ -176,6 +178,34 @@ class TestTrainCommand:
         log = (out / "run.log").read_text().splitlines()
         assert len(log) == 50
         assert log[0].startswith("step=0 phi=")
+
+    @pytest.mark.parametrize("diverge_at, written", [
+        (10, []), (40, ["checkpoint_step000025.bin"])])
+    def test_divergence_names_the_last_periodic_checkpoint(
+            self, tiny_cfg, tmp_path, monkeypatch, capsys, diverge_at,
+            written):
+        real_train = harness.train
+
+        def train(cfg, checkpoint_cb=None):
+            # The real loop, raising once step diverge_at is done.
+            def cb(step, net):
+                if step % cfg.checkpoint_every == 0:
+                    checkpoint_cb(step, net)
+                if step == diverge_at:
+                    raise TrainingDivergence("non-finite training loss inf")
+            return real_train(replace(cfg, checkpoint_every=1), cb)
+        monkeypatch.setattr(harness, "train", train)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "training diverged: non-finite training loss inf" in err
+        assert sorted(p.name for p in out.glob("checkpoint_step*.bin")) == \
+            written
+        if written:
+            assert f"(last periodic checkpoint {out / written[-1]})" in err
+        else:
+            assert "(no periodic checkpoint was written)" in err
 
     def test_rerun_byte_identical(self, tiny_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -284,6 +314,7 @@ class TestTrainCommand:
          "reward.weight_pick=1e+200"),
         ("reward.weight_push=1e119 reward.sigma_y=0.1 reward.anisotropy=1",
          "reward.weight_push=1e+119"),
+        ("network.loss_scale=1e-200", "network.loss_scale=1e-200"),
         ("policy.alpha_scale=nan", "policy.alpha_scale"),
         ("policy.sigma=inf", "policy.sigma"),
         ("network.loss_alpha=nan", "network.loss_alpha"),

@@ -177,7 +177,7 @@ class TestTrain:
 
     def test_buffered_prev_action_is_the_row_before(self):
         report = train(small_config(train_steps=120))
-        items = report.replay_buffer._items
+        items = report.replay_buffer.items()
         assert len(items) == len(report.records) == 120
         starts = 0
         for i, tr in enumerate(items):
@@ -306,6 +306,20 @@ class TestTrain:
         losses, _ = robust_loss(-targets, cfg.hyper.loss_alpha,
                                 cfg.hyper.loss_scale)
         assert np.isfinite(losses).all() and losses.max() > 1e100
+
+    def test_tiny_loss_scale_bounded(self):
+        # The reward scale over min(1, loss_scale): 1.5 / 1e-200 is over the
+        # limit, 1.5 / 1e-100 under it.
+        with pytest.raises(ConfigError, match="network.loss_scale=1e-200"):
+            small_config(hyper=TrainHyper(loss_scale=1e-200))
+        small_config(hyper=TrainHyper(loss_scale=1e-100))
+        # Tiny weights keep the scale small, but loss_scale squared must not
+        # underflow to 0: the loss divides by it.
+        tiny = RewardParams(weights={p: 1e-200 for p in Primitive})
+        assert 1e-170 * 1e-170 == 0.0
+        with pytest.raises(ConfigError, match="loss_scale"):
+            small_config(reward=tiny, hyper=TrainHyper(loss_scale=1e-170))
+        small_config(reward=tiny, hyper=TrainHyper(loss_scale=1e-150))
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):

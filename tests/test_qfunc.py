@@ -15,10 +15,10 @@ from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError, IN_CHANNELS,
                              forward_rotation, load_checkpoint, meta_path,
                              read_checkpoint_header, robust_loss, rotate_grid,
                              rotate_grid_grad, save_checkpoint, stack_input,
-                             train_step)
+                             train_step, transition_backward, transition_loss)
 from gridmanip.replay import Transition
 from gridmanip.reward import RewardParams, spike_reward_map, tpg_reward_map
-from gridmanip.selftest import gradient_check
+from gridmanip.selftest import gradient_check, random_transition
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +169,37 @@ def ref_forward(net, obs, prev_action, primitive):
                      for r in range(net.rotations)])
 
 
+def ref_target_map(reward_map, action, y):
+    """The full-grid targets: the whole reward map scaled so the executed
+    pixel carries y; all zero when the spike is zero."""
+    grid = reward_map.grid
+    executed = grid[action.y, action.x]
+    if executed > 0.0:
+        return y * grid / executed
+    return np.zeros_like(grid)
+
+
+def ref_transition_grads(net, tr, hp, batch_size):
+    """transition_loss and transition_backward on the full grid: targets and
+    gradient over every pixel, the supervised ones picked by a boolean mask,
+    through the network code under test."""
+    x = stack_input(tr.observation, tr.prev_action)
+    pred, cache, theta = forward_rotation(net, x, tr.observation.shape,
+                                          tr.action.primitive,
+                                          tr.action.theta_index)
+    y = compute_target(tr.r_t, tr.r_next, hp.gamma)
+    targets = ref_target_map(tr.reward_map, tr.action, y)
+    mask = tr.reward_map.supervised_mask
+    losses, dresiduals = robust_loss(pred[mask] - targets[mask],
+                                     hp.loss_alpha, hp.loss_scale)
+    dpred = np.zeros_like(pred)
+    dpred[mask] = dresiduals / (dresiduals.size * batch_size)
+    grads = {}
+    net.stacks[tr.action.primitive].backward(
+        cache, rotate_grid_grad(dpred, theta), grads)
+    return losses, grads
+
+
 def ref_train_step(net, batch, hp):
     grads = {prim: {} for prim in PRIMITIVE_ORDER}
     touched = set()
@@ -179,7 +210,7 @@ def ref_train_step(net, batch, hp):
         pred, cache, theta = ref_forward_rotation(net, x, tr.action.primitive,
                                                   tr.action.theta_index)
         y = compute_target(tr.r_t, tr.r_next, hp.gamma)
-        targets = build_target_map(tr.reward_map, tr.action, y)
+        targets = ref_target_map(tr.reward_map, tr.action, y)
         mask = tr.reward_map.supervised_mask
         residuals = pred[mask] - targets[mask]
         losses, dresiduals = robust_loss(residuals, hp.loss_alpha,
@@ -362,6 +393,38 @@ class TestReferenceOracle:
             assert stack.velocity.keys() == ref_stack.velocity.keys()
             for name, v in stack.velocity.items():
                 assert v.tobytes() == ref_stack.velocity[name].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           kind=st.sampled_from(["box", "tpg", "spike"]),
+           alpha=st.sampled_from([2.0, 1.0, 0.0, -1.5]),
+           batch_size=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_box_loss_bitwise_equal_to_full_grid_mask(self, shape, kind, alpha,
+                                                      batch_size, seed):
+        # The box form against the full-grid form it replaced: the same
+        # losses and gradients, bit for bit, on random boxes, TPG maps
+        # (their clipped kernel support) and one-pixel spikes.
+        h, w = shape
+        rng = np.random.default_rng(seed)
+        net = QNetwork.init(rng, hidden_channels=4, rotations=2)
+        tr = random_transition(rng, h=h, w=w, rotations=2)
+        if kind != "box":
+            r_t = float(rng.choice([0.0, rng.uniform(0.05, 1.0)]))
+            a = tr.action
+            tr.r_t, tr.reward_map = r_t, (
+                tpg_reward_map(r_t, (a.x, a.y, theta_radians(a.theta_index, 2)),
+                               RewardParams(sigma_y=float(rng.uniform(0.3, 2.0))),
+                               shape)
+                if kind == "tpg" else spike_reward_map(r_t, (a.x, a.y), shape))
+        hp = TrainHyper(loss_alpha=alpha, loss_scale=float(rng.uniform(0.5, 2.0)))
+        losses, saved = transition_loss(net, tr, hp)
+        grads = {}
+        transition_backward(net, tr, saved, grads, batch_size)
+        ref_losses, ref_grads = ref_transition_grads(net, tr, hp, batch_size)
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(shape=oracle_shapes, theta_index=st.integers(0, 7),

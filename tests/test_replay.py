@@ -6,15 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmanip.gridsim import Action, Primitive
+from gridmanip.gridsim import (Action, Observation, Primitive, TaskConfig,
+                               TaskKind)
+from gridmanip.harness import RunConfig, train
 from gridmanip.replay import (PRIORITY_FLOOR, ReplayBuffer, ReplayError,
                               Transition, UnderfullError)
+from gridmanip.reward import RewardMap, spike_reward_map
+
+
+def one_cell_row():
+    """A 1x1 observation and reward map: the smallest real row."""
+    return dict(observation=Observation(heights=np.zeros((1, 1), dtype=int),
+                                        holding=False, height_norm=1),
+                reward_map=spike_reward_map(0.0, (0, 0), (1, 1)))
 
 
 def make_transition(r_t=0.5, r_next=0.0):
     action = Action(Primitive.PICK, 0, 0, 0, 0.0)
-    return Transition(observation=None, prev_action=None,
-                      action=action, r_t=r_t, reward_map=None, r_next=r_next)
+    return Transition(prev_action=None, action=action, r_t=r_t, r_next=r_next,
+                      **one_cell_row())
 
 
 def filled_buffer(losses, omega=1.0, capacity=100):
@@ -23,7 +33,7 @@ def filled_buffer(losses, omega=1.0, capacity=100):
     buf = ReplayBuffer(capacity=capacity, rank_exponent=omega)
     for loss in losses:
         buf.push(make_transition())
-        buf.update_priorities([buf._items[-1].insert_index], [loss])
+        buf.update_priorities([buf.items()[-1].insert_index], [loss])
     return buf
 
 
@@ -46,7 +56,7 @@ class TestPushFinalize:
         for t in items:
             buf.push(t)
         assert len(buf) == 3
-        assert items[0].insert_index not in [t.insert_index for t in buf._items]
+        assert items[0].insert_index not in [t.insert_index for t in buf.items()]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +128,7 @@ class TestSampling:
     def test_exhaustive_sample_is_permutation(self):
         buf = filled_buffer([5.0, 1.0, 3.0, 2.0])
         items, ids = buf.sample(4, np.random.default_rng(1))
-        assert sorted(ids) == sorted(t.insert_index for t in buf._items)
+        assert sorted(ids) == sorted(t.insert_index for t in buf.items())
 
     def test_analytic_rank_probabilities(self):
         # priorities 5 > 3 > 1: ranks 1,2,3 -> weights 1, 1/2, 1/3
@@ -156,14 +166,14 @@ class TestSampling:
 class TestPriorities:
     def test_zero_loss_floor(self):
         buf = filled_buffer([1.0, 1.0])
-        ids = [t.insert_index for t in buf._items]
+        ids = [t.insert_index for t in buf.items()]
         buf.update_priorities(ids, [0.0, 2.0])
         assert buf._priorities[:len(buf)].tolist() == [
             PRIORITY_FLOOR, 2.0 + PRIORITY_FLOOR]
 
     def test_negative_loss_absolute_value(self):
         buf = filled_buffer([1.0])
-        buf.update_priorities([buf._items[0].insert_index], [-3.0])
+        buf.update_priorities([buf.items()[0].insert_index], [-3.0])
         assert buf._priorities[0] == pytest.approx(3.0 + PRIORITY_FLOOR)
 
     def test_stale_index_skipped(self):
@@ -178,7 +188,7 @@ class TestPriorities:
 
     def test_untouched_priorities_unchanged(self):
         buf = filled_buffer([4.0, 2.0, 1.0])
-        target = buf._items[1]
+        target = buf.items()[1]
         buf.update_priorities([target.insert_index], [0.5])
         assert buf._priorities[0] == 4.0 + PRIORITY_FLOOR
         assert buf._priorities[2] == 1.0 + PRIORITY_FLOOR
@@ -186,7 +196,7 @@ class TestPriorities:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_loss_rejected_before_any_change(self, bad):
         buf = filled_buffer([4.0, 2.0, 1.0])
-        ids = [t.insert_index for t in buf._items]
+        ids = [t.insert_index for t in buf.items()]
         before = buf._priorities[:len(buf)].copy()
         probs = buf.probabilities()
         with pytest.raises(ReplayError, match="non-finite"):
@@ -196,7 +206,7 @@ class TestPriorities:
 
     def test_larger_loss_weakly_higher_rank(self):
         buf = filled_buffer([1.0, 1.0, 1.0], omega=1.0)
-        ids = [t.insert_index for t in buf._items]
+        ids = [t.insert_index for t in buf.items()]
         buf.update_priorities(ids, [0.1, 5.0, 1.0])
         probs = buf.probabilities()
         assert probs[1] > probs[2] > probs[0]
@@ -250,7 +260,7 @@ class TestLawCache:
     @pytest.mark.parametrize("pending, change", [
         (False, lambda buf: buf.push(make_transition(r_next=None))),
         (False, lambda buf: buf.update_priorities(
-            [buf._items[1].insert_index], [7.0])),
+            [buf.items()[1].insert_index], [7.0])),
         (True, lambda buf: buf.finalize_pending(0.5)),
     ], ids=["push", "update_priorities", "finalize_pending"])
     def test_dropped_when_the_buffer_changes(self, pending, change):
@@ -408,10 +418,11 @@ class TestListOracleEquivalence:
                 # `repeat` finalized transitions, the last one maybe pending
                 _, x, repeat, r_last = op
                 for i in range(repeat):
-                    args = dict(observation=None, prev_action=None,
+                    args = dict(prev_action=None,
                                 action=Action(Primitive.PICK, x, i, 0, 0.0),
-                                r_t=float(x), reward_map=None,
-                                r_next=r_last if i == repeat - 1 else 0.0)
+                                r_t=float(x),
+                                r_next=r_last if i == repeat - 1 else 0.0,
+                                **one_cell_row())
                     if ref.has_pending:
                         _both_raise(ReplayError,
                                     lambda: ref.push(ListTransition(**args)),
@@ -463,7 +474,7 @@ def _argsort_rank_weights(priorities, n, omega):
     return weights
 
 
-def _full_cumsum_sample(items, weights, k, rng):
+def _full_cumsum_sample(held_ids, weights, k, rng):
     n = len(weights)
     chosen = []
     for _ in range(k):
@@ -471,7 +482,7 @@ def _full_cumsum_sample(items, weights, k, rng):
         pos = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
         pos = min(pos, n - 1)
         weights[pos] = 0.0
-        chosen.append(items[pos].insert_index)
+        chosen.append(held_ids[pos])
     return chosen
 
 
@@ -497,15 +508,15 @@ class TestKeptOrderMatchesArgsort:
             if n < 8:
                 continue
             k = 1 + step % 8
+            oldest = buf._next_index - len(buf)
             expect = _full_cumsum_sample(
-                buf._items, _argsort_rank_weights(buf._priorities, n, omega),
-                k, ref_rng)
+                range(oldest, buf._next_index),
+                _argsort_rank_weights(buf._priorities, n, omega), k, ref_rng)
             _, ids = buf.sample(k, draw_rng)
             assert ids == expect
             assert draw_rng.bit_generator.state == ref_rng.bit_generator.state
             losses = np.where(rng.random(k) < 0.8, rng.choice(tie_losses, k),
                               rng.normal(size=k))
-            oldest = buf._items[0].insert_index
             # two stale ids, the newest item (pending on most steps), and a
             # repeated id whose last loss wins
             others = [oldest - 1 - int(rng.integers(5)),
@@ -515,3 +526,136 @@ class TestKeptOrderMatchesArgsort:
                 [losses, [9.0, 9.0], rng.choice(tie_losses, 2)]))
         assert len(buf) == capacity
         assert buf._next_index > capacity           # evicted all along
+
+
+# Rows kept in slot arrays: what comes back is what was pushed.
+
+def same_action(got, want):
+    if want is None:
+        return got is None
+    return got == want and \
+        np.float64(got.q_value).tobytes() == np.float64(want.q_value).tobytes()
+
+
+def assert_same_row(got, want):
+    """Field by field, floats by their bits; heights by value, since the
+    buffer keeps them in a narrower dtype."""
+    assert got.insert_index == want.insert_index
+    obs, expect = got.observation, want.observation
+    assert obs.heights.shape == expect.heights.shape
+    assert np.array_equal(obs.heights, expect.heights)
+    assert (obs.holding, obs.height_norm) == (expect.holding,
+                                              expect.height_norm)
+    assert same_action(got.action, want.action)
+    assert same_action(got.prev_action, want.prev_action)
+    assert np.float64(got.r_t).tobytes() == np.float64(want.r_t).tobytes()
+    assert (got.r_next is None) == (want.r_next is None)
+    if want.r_next is not None:
+        assert got.r_next == want.r_next
+    rmap, expect = got.reward_map, want.reward_map
+    assert (rmap.y0, rmap.x0, rmap.shape) == (expect.y0, expect.x0,
+                                              expect.shape)
+    assert rmap.values.shape == expect.values.shape
+    assert rmap.values.tobytes() == expect.values.tobytes()
+
+
+_q_values = st.sampled_from([0.0, -0.0, 1.5, -2.25]) | st.floats(
+    -1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _actions(draw, h, w):
+    return Action(draw(st.sampled_from(list(Primitive))),
+                  draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)),
+                  draw(st.integers(0, 7)), draw(_q_values))
+
+
+@st.composite
+def _rows(draw, h, w, max_height):
+    heights = np.array(draw(st.lists(st.integers(0, max_height),
+                                     min_size=h * w, max_size=h * w)),
+                       dtype=np.int64).reshape(h, w)
+    y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    bh, bw = draw(st.integers(1, h - y0)), draw(st.integers(1, w - x0))
+    values = np.array(draw(st.lists(st.floats(0, 10), min_size=bh * bw,
+                                    max_size=bh * bw))).reshape(bh, bw)
+    return Transition(
+        observation=Observation(heights=heights, holding=draw(st.booleans()),
+                                height_norm=draw(st.integers(1, 5))),
+        prev_action=draw(st.none() | _actions(h, w)),
+        action=draw(_actions(h, w)), r_t=draw(st.floats(0, 5)),
+        reward_map=RewardMap(y0=y0, x0=x0, values=values, shape=(h, w)),
+        r_next=draw(st.none() | st.floats(0, 5)))
+
+
+class TestSlotRows:
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(1, 9), shape=st.tuples(st.integers(1, 4),
+                                                       st.integers(1, 4)),
+           max_height=st.sampled_from([3, 255, 300]), seed=st.integers(0, 99),
+           data=st.data())
+    def test_rows_come_back_as_pushed(self, capacity, shape, max_height,
+                                      seed, data):
+        buf = ReplayBuffer(capacity=capacity, max_height=max_height)
+        rng = np.random.default_rng(seed)
+        pushed = {}
+        last_ids = []
+        for op in data.draw(st.lists(st.sampled_from(
+                ["push", "push", "finalize", "sample", "update"]),
+                min_size=1, max_size=40)):
+            if op == "push" and not buf.has_pending:
+                row = data.draw(_rows(*shape, max_height))
+                buf.push(row)
+                pushed[row.insert_index] = row
+            elif op == "finalize" and buf.has_pending:
+                buf.finalize_pending(data.draw(st.floats(0, 5)))
+            elif op == "sample" and buf.sampleable_count():
+                k = data.draw(st.integers(1, buf.sampleable_count()))
+                items, last_ids = buf.sample(k, rng)
+                for got in items:
+                    assert not got.pending
+                    assert_same_row(got, pushed[got.insert_index])
+            elif op == "update" and last_ids:
+                buf.update_priorities(last_ids, rng.random(len(last_ids)))
+            if buf.has_pending:
+                got = buf.pending_item()
+                assert got.pending
+                assert_same_row(got, pushed[buf._next_index - 1])
+            held = buf.items()
+            assert [t.insert_index for t in held] == list(
+                range(buf._next_index - len(buf), buf._next_index))
+            for got in held:
+                assert_same_row(got, pushed[got.insert_index])
+
+    @pytest.mark.parametrize("max_height, dtype", [
+        (4, np.uint8), (255, np.uint8), (256, np.uint16),
+        (70_000, np.uint32)])
+    def test_height_at_dtype_maximum_stored_exactly_above_raises(
+            self, max_height, dtype):
+        buf = ReplayBuffer(capacity=3, max_height=max_height)
+        assert buf.height_dtype == dtype
+        top = int(np.iinfo(dtype).max)
+
+        def row(cells):
+            tr = make_transition()
+            obs = Observation(heights=np.array([cells]), holding=False,
+                              height_norm=1)
+            return Transition(observation=obs, prev_action=None,
+                              action=tr.action, r_t=tr.r_t, r_next=tr.r_next,
+                              reward_map=spike_reward_map(0.0, (0, 0),
+                                                          (1, 2)))
+        buf.push(row([top, 0]))
+        stored = buf.items()[0].observation.heights
+        assert stored.dtype == dtype and stored.tolist() == [[top, 0]]
+        for bad in ([top + 1, 0], [0, -1]):
+            with pytest.raises(ReplayError, match="outside"):
+                buf.push(row(bad))
+        assert len(buf) == 1 and buf._next_index == 1
+
+    def test_training_rows_are_uint8(self):
+        task = TaskConfig(kind=TaskKind.BLOCK_STACKING, n_blocks=4,
+                          goal_stack_height=2, width=5, height=5)
+        buf = train(RunConfig(task=task, train_steps=12, eval_runs=1,
+                              checkpoint_every=0)).replay_buffer
+        assert buf.height_dtype == np.uint8
+        assert buf.items()[0].observation.heights.dtype == np.uint8
