@@ -291,7 +291,7 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
                                       result.progress, prev_progress, shape)
         y_target = None
         if buffer.has_pending:
-            y_target = compute_target(buffer.pending_item().r_t, r_tp,
+            y_target = compute_target(buffer.pending_reward(), r_tp,
                                       cfg.hyper.gamma)
             buffer.finalize_pending(r_tp)
         buffer.push(Transition(observation=obs, prev_action=prev,

@@ -6,7 +6,11 @@ Q prediction at its pose to an h x w Q grid. Rotations are handled by
 counter-rotating the input, running the stack, and rotating the output back;
 rotation is a cached nearest-neighbour gather, exact for multiples of 90
 degrees on square grids, so its gradient is the matching scatter-add. The
-input counter-rotation is folded into conv1's cached patch gather.
+input counter-rotation is folded into conv1's cached patch gather, which
+stacks every rotation's patch matrix so that one pass of the stack computes
+them all: each layer is one 3-D matmul, and each of its slices is the BLAS
+call a single rotation's patch matrix makes, so every map keeps its bits
+(one fused GEMM over all rotations' pixels would not).
 
 Forward, backward, the robust training loss and SGD-with-momentum are all
 explicit numpy; no autodiff anywhere.
@@ -120,9 +124,10 @@ def rotate_grid_grad(dout: np.ndarray, theta: float) -> np.ndarray:
 # convolution layers
 #
 # Both 3x3 layers are im2col GEMMs: a (pixels, channels*9) patch matrix times
-# the transposed weights. The patch matrices are built by one fancy-index
-# gather each, through indices cached per grid shape (and, for conv1, per
-# rotation). Every zero of the padding (and of the counter-rotation) is read
+# the transposed weights, for a stack of g such matrices (one per rotation)
+# at once. The patch matrices are built by one fancy-index gather each,
+# through indices cached per grid shape (and, for conv1, per rotation
+# count). Every zero of the padding (and of the counter-rotation) is read
 # from a zero slot at the end of the gathered vector, so no padded copy is
 # ever made. Hidden activations stay in the GEMM's (pixels, channels) layout.
 
@@ -141,18 +146,33 @@ def _taps(h, w, source):
     return padded[ys[:, None] + ki, xs[:, None] + kj]
 
 
-def _input_index(h, w, theta):
-    """Gather index from stack_input's vector to conv1's (h*w, IN_CHANNELS*9)
-    patch matrix of the input counter-rotated by ``theta``."""
-    key = ("input", h, w, round(theta, 12))
+def _rotation_stack(h, w, rotations):
+    """Cached indices for all ``rotations`` of an (h, w) grid at once:
+    conv1's (rotations, h*w, IN_CHANNELS*9) gather from stack_input's vector
+    to each rotation's patch matrix of the counter-rotated input; the
+    (rotations*h*w,) gather that rotates each rotation's output column back;
+    and the flat positions of that gather's out-of-grid pixels, or None."""
+    key = ("rotations", h, w, rotations)
     hit = _INDEX_CACHE.get(key)
     if hit is None:
-        flat, valid, _ = _rotation_map(h, w, -theta)
-        source = flat if valid is None else np.where(valid, flat, -1)
-        taps = _taps(h, w, source)[:, None, :]
-        channel = np.arange(IN_CHANNELS)[:, None] * (h * w)
-        hit = np.where(taps >= 0, channel + taps,
-                       IN_CHANNELS * h * w).reshape(h * w, -1)
+        hw = h * w
+        channel = np.arange(IN_CHANNELS)[:, None] * hw
+        index = np.empty((rotations, hw, IN_CHANNELS * 9), dtype=np.intp)
+        back = np.empty((rotations, hw), dtype=np.intp)
+        outside = np.zeros((rotations, hw), dtype=bool)
+        for r in range(rotations):
+            theta = theta_radians(r, rotations)
+            flat, valid, _ = _rotation_map(h, w, -theta)
+            source = flat if valid is None else np.where(valid, flat, -1)
+            taps = _taps(h, w, source)[:, None, :]
+            index[r] = np.where(taps >= 0, channel + taps,
+                                IN_CHANNELS * hw).reshape(hw, -1)
+            flat, valid, _ = _rotation_map(h, w, theta)
+            back[r] = flat + r * hw
+            if valid is not None:
+                outside[r] = ~valid
+        zero = np.flatnonzero(outside) if outside.any() else None
+        hit = (index, back.ravel(), zero)
         _INDEX_CACHE[key] = hit
     return hit
 
@@ -210,46 +230,56 @@ class ConvStack:
     def params(self):
         return {name: getattr(self, name) for name in _PARAM_NAMES}
 
-    def forward(self, x, index, shape):
-        """Flat input ``x`` gathered through conv1's patch ``index`` ->
-        ((h*w, 1) Q column, cache (z1, p1, z2, p2, a2) for backward)."""
-        hw, c = index.shape[0], self.b1.shape[0]
-        p1 = x[index]
-        z1 = p1 @ self.w1.reshape(c, -1).T
-        z1 += self.b1
-        a1 = np.empty((hw + 1, c))
-        a1[hw] = 0.0
-        np.maximum(z1, 0.0, out=a1[:hw])
-        p2 = a1.ravel()[_hidden_index(c, *shape)[0]]
-        z2 = p2 @ self.w2.reshape(c, -1).T
-        z2 += self.b2
-        a2 = np.maximum(z2, 0.0)        # conv3's 1x1 patch matrix
+    def forward(self, p1, shape):
+        """A stack of g conv1 patch matrices (g, h*w, IN_CHANNELS*9) ->
+        ((g, h*w, 1) Q columns, cache (a1, p1, a2, p2) for backward).
+
+        Each layer is one 3-D matmul, and each of its g slices is the BLAS
+        call of that slice's 2-D GEMM, so a slice's Q column has the bits of
+        a forward of that patch matrix alone. ReLU runs in place: backward
+        masks by the activations, which are positive exactly where their
+        pre-activations are.
+        """
+        (g, hw, _), c = p1.shape, self.b1.shape[0]
+        # conv2 reads a1 through a zero row after each slice's pixels.
+        padded = np.empty((g, hw + 1, c))
+        padded[:, hw] = 0.0
+        a1 = padded[:, :hw]
+        np.matmul(p1, self.w1.reshape(c, -1).T, out=a1)
+        a1 += self.b1
+        np.maximum(a1, 0.0, out=a1)
+        p2 = np.take(padded.reshape(g, -1), _hidden_index(c, *shape)[0],
+                     axis=1)
+        a2 = p2 @ self.w2.reshape(c, -1).T
+        a2 += self.b2
+        np.maximum(a2, 0.0, out=a2)     # conv3's 1x1 patch matrix
         q = a2 @ self.w3.reshape(1, -1).T
         q += self.b3
-        return q, (z1, p1, z2, p2, a2)
+        return q, (a1, p1, a2, p2)
 
     def backward(self, cache, dq, grads):
         """Accumulate parameter gradients for dL/dq (h, w) into ``grads``.
 
-        Layer gradients are channel-major (c, h*w): every GEMM and bias sum
-        takes the operand shapes and memory order of a plain im2col stack,
-        and conv2's col2im adds in the same order, so the bits match it.
+        ``cache`` is one slice of ``forward``'s. Layer gradients are
+        channel-major (c, h*w): every GEMM and bias sum takes the operand
+        shapes and memory order of a plain im2col stack, and conv2's col2im
+        adds in the same order, so the bits match it.
         """
-        z1, p1, z2, p2, a2 = cache
-        (h, w), c = dq.shape, z1.shape[1]
+        a1, p1, a2, p2 = cache
+        (h, w), c = dq.shape, a1.shape[1]
         drow = dq.reshape(1, -1)
         dw3 = (drow @ a2).reshape(self.w3.shape)
         db3 = dq[None, :, :].sum(axis=(1, 2))
         # A 1x1 col2im adds each patch gradient onto a zero once; "+ 0.0"
         # keeps that, turning -0.0 into +0.0.
         dz2 = np.add((drow.T @ self.w3.reshape(1, -1)).T, 0.0, order="C")
-        dz2 *= z2.T > 0.0
+        dz2 *= a2.T > 0.0
         dw2 = (dz2 @ p2).reshape(self.w2.shape)
         db2 = dz2.reshape(c, h, w).sum(axis=(1, 2))
         dp2 = dz2.T @ self.w2.reshape(c, -1)
         dz1 = np.bincount(_hidden_index(c, h, w)[1], weights=dp2.ravel(),
                           minlength=c * h * w + 1)[:-1].reshape(c, -1)
-        dz1 *= z1.T > 0.0
+        dz1 *= a1.T > 0.0
         dw1 = (dz1 @ p1).reshape(self.w1.shape)
         db1 = dz1.reshape(c, h, w).sum(axis=(1, 2))
         for name, g in zip(_PARAM_NAMES, (dw1, db1, dw2, db2, dw3, db3)):
@@ -309,24 +339,40 @@ def stack_input(obs: Observation, prev_action: Action | None) -> np.ndarray:
 def forward_rotation(net: QNetwork, x: np.ndarray, shape, primitive: Primitive,
                      theta_index: int):
     """Q grid for one rotation of the flat input ``x`` (see stack_input) on
-    an ``shape`` grid: counter-rotate input, run stack, rotate back."""
+    an ``shape`` grid, the stack's forward cache of that one rotation, and
+    its angle: a one-slice stacked pass, its output rotated back."""
     theta = theta_radians(theta_index, net.rotations)
-    index = _input_index(*shape, theta)
-    q, cache = net.stacks[primitive].forward(x, index, shape)
+    index = _rotation_stack(*shape, net.rotations)[0]
+    q, cache = net.stacks[primitive].forward(
+        x[index[theta_index:theta_index + 1]], shape)
+    cache = tuple(a[0] for a in cache)
     return rotate_grid(q.reshape(shape), theta), cache, theta
 
 
 def forward_all(net: QNetwork, obs, prev_action, primitives) -> dict:
-    """Primitive -> full (rotations, h, w) Q-map set, for each primitive."""
-    x = stack_input(obs, prev_action)
-    return {prim: np.stack([forward_rotation(net, x, obs.shape, prim, r)[0]
-                            for r in range(net.rotations)])
-            for prim in primitives}
+    """Primitive -> full (rotations, h, w) Q-map set, for each primitive.
+
+    conv1's patch matrices of every rotation are gathered once and shared by
+    the primitives; each primitive's maps take one stacked pass of its
+    stack, whose every rotation has the bits of a ``forward_one`` of it, and
+    one gather rotates them all back.
+    """
+    (h, w), g = obs.shape, net.rotations
+    index, back, zero = _rotation_stack(h, w, g)
+    p1 = stack_input(obs, prev_action)[index]
+    maps = {}
+    for prim in primitives:
+        # [0] drops the forward cache at once: no backward reads it.
+        q = net.stacks[prim].forward(p1, obs.shape)[0].ravel()[back]
+        if zero is not None:
+            q[zero] = 0.0
+        maps[prim] = q.reshape(g, h, w)
+    return maps
 
 
 def forward_one(net: QNetwork, obs, prev_action, primitive, theta_index):
     """One rotation's (h, w) Q grid of one primitive: the same floats as that
-    entry of ``forward_all``'s map set, for one stack forward."""
+    entry of ``forward_all``'s map set, for a one-rotation stack pass."""
     return forward_rotation(net, stack_input(obs, prev_action), obs.shape,
                             primitive, theta_index)[0]
 

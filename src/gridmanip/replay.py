@@ -9,12 +9,12 @@ The buffer keeps every row's fields in arrays, allocated at the first push
 and indexed by ring slot, ``insert_index % capacity``: the height grid in
 the narrowest unsigned dtype that holds ``max_height``, the holding flag and
 height norm, the action and the previous action (with a flag for none), the
-two rewards, and the reward map's supervised box with its values. ``sample``,
-``pending_item`` and ``items`` build ``Transition``s from the slots, so no
-Python object is kept per row. A row takes 84 bytes of scalar fields, its
-height grid and its box: 576 bytes at 10x10 with uint8 heights and the
-Gaussian reward's 7x7 box at the default sigmas, 128 bytes at 6x6 with the
-baseline's one-pixel box.
+two rewards, and the reward map's supervised box with its values. ``sample``
+and ``items`` build ``Transition``s from the slots, so no Python object is
+kept per row, and ``pending_reward`` reads one field of the newest row. A
+row takes 84 bytes of scalar fields, its height grid and its box: 576 bytes
+at 10x10 with uint8 heights and the Gaussian reward's 7x7 box at the default
+sigmas, 128 bytes at 6x6 with the baseline's one-pixel box.
 
 The buffer owns every priority: they live in one preallocated float64 array
 kept in insertion order. Eviction is oldest-first, so held insert indices
@@ -140,10 +140,11 @@ class ReplayBuffer:
     def has_pending(self):
         return self._pending is not None
 
-    def pending_item(self):
+    def pending_reward(self) -> float:
+        """The pending transition's r_t, read from its row."""
         if self._pending is None:
-            return None
-        return self._transition(self._next_index - 1)
+            raise ReplayError("no pending transition")
+        return float(self._rows["r_t"][(self._next_index - 1) % self.capacity])
 
     def _sampleable(self):
         # Only the newest item can be pending. Internal callers use this,

@@ -77,8 +77,8 @@ def _transition_loss(net, transition, hp):
     gradient is exact.
     """
     losses, saved = transition_loss(net, transition, hp)
-    z1, z2 = saved[1][0], saved[1][2]
-    pattern = np.concatenate([(z1 > 0.0).ravel(), (z2 > 0.0).ravel()])
+    a1, a2 = saved[1][0], saved[1][2]
+    pattern = np.concatenate([(a1 > 0.0).ravel(), (a2 > 0.0).ravel()])
     return float(np.mean(losses)), pattern
 
 

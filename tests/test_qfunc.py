@@ -12,7 +12,8 @@ from gridmanip import qfunc
 from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError, IN_CHANNELS,
                              QNetwork, TrainHyper, TrainingDivergence,
                              build_target_map, compute_target, forward_all,
-                             forward_rotation, load_checkpoint, meta_path,
+                             forward_one, forward_rotation, load_checkpoint,
+                             meta_path,
                              read_checkpoint_header, robust_loss, rotate_grid,
                              rotate_grid_grad, save_checkpoint, stack_input,
                              train_step, transition_backward, transition_loss)
@@ -351,6 +352,44 @@ class TestReferenceOracle:
         for prim in PRIMITIVE_ORDER:
             assert maps[prim].tobytes() == \
                 ref_forward(ref_net, obs, prev, prim).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes, hidden=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_forward_one_bitwise_equal_to_forward_all(self, shape, hidden,
+                                                      seed):
+        # A one-rotation pass, rotated back on its own, against the stacked
+        # pass over every rotation and its one rotate-back gather: this
+        # tells each rotation's map apart and checks the zeroed pixels that
+        # 8 rotations leave outside the grid.
+        h, w, rotations = shape
+        rng, (net, _) = oracle_case(seed, rotations, hidden)
+        obs, prev = oracle_inputs(rng, h, w)
+        maps = forward_all(net, obs, prev, PRIMITIVE_ORDER)
+        for prim in PRIMITIVE_ORDER:
+            assert maps[prim].shape == (rotations, h, w)
+            for r in range(rotations):
+                assert forward_one(net, obs, prev, prim, r).tobytes() == \
+                    maps[prim][r].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes, hidden=st.integers(1, 16),
+           order=st.permutations(PRIMITIVE_ORDER),
+           count=st.integers(1, len(PRIMITIVE_ORDER)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_primitive_subset_bitwise_equal(self, shape, hidden, order, count,
+                                            seed):
+        # The primitives share conv1's patch matrices: any subset, in any
+        # order, gives each primitive the maps of the full call.
+        h, w, rotations = shape
+        rng, (net, _) = oracle_case(seed, rotations, hidden)
+        obs, prev = oracle_inputs(rng, h, w)
+        subset = order[:count]
+        maps = forward_all(net, obs, prev, subset)
+        full = forward_all(net, obs, prev, PRIMITIVE_ORDER)
+        assert list(maps) == subset
+        for prim in subset:
+            assert maps[prim].tobytes() == full[prim].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(shape=oracle_shapes, hidden=st.integers(1, 16),

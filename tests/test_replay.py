@@ -98,6 +98,19 @@ class TestPushFinalize:
         with pytest.raises(ReplayError):
             buf.finalize_pending(0.0)
 
+    def test_pending_reward_is_the_pushed_r_t_while_pending(self):
+        buf = ReplayBuffer(capacity=2)
+        with pytest.raises(ReplayError):
+            buf.pending_reward()
+        for r_t in (0.25, -0.0, 1.5, 0.1):     # the last two wrap the ring
+            buf.push(make_transition(r_t=r_t, r_next=None))
+            got = buf.pending_reward()
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(r_t).tobytes()
+            buf.finalize_pending(0.0)
+            with pytest.raises(ReplayError):
+                buf.pending_reward()
+
     def test_episode_end_zero_finalize(self):
         buf = ReplayBuffer()
         t = make_transition(r_next=None)
@@ -617,11 +630,13 @@ class TestSlotRows:
                     assert_same_row(got, pushed[got.insert_index])
             elif op == "update" and last_ids:
                 buf.update_priorities(last_ids, rng.random(len(last_ids)))
-            if buf.has_pending:
-                got = buf.pending_item()
-                assert got.pending
-                assert_same_row(got, pushed[buf._next_index - 1])
             held = buf.items()
+            if buf.has_pending:
+                # The newest held row (checked field by field below) is the
+                # pending one, and pending_reward reads its pushed r_t.
+                assert held[-1].pending
+                assert np.float64(buf.pending_reward()).tobytes() == \
+                    np.float64(pushed[buf._next_index - 1].r_t).tobytes()
             assert [t.insert_index for t in held] == list(
                 range(buf._next_index - len(buf), buf._next_index))
             for got in held:
