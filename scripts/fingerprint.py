@@ -14,8 +14,10 @@ runs), a scripted 4x1 push-only layout whose every episode ends in a dead
 end with no valid action (40 steps, 3 runs), 6x6 stacking to height 3 with
 push, pick and place, which pushes whole stacks (120 steps, 3 runs), and a
 scripted 6x1 layout of tall stacks for push and pick with two rotations,
-whose ``n_blocks`` comes from the layout (60 steps, 3 runs). It then prints
-the sha256 of every output file. BLAS is pinned to one thread.
+whose ``n_blocks`` comes from the layout (60 steps, 3 runs). A default
+train/eval pair with ``replay.capacity=16`` (200 steps, 3 runs) wraps the
+replay ring many times over, so training reads evicted-and-rewritten slots.
+It then prints the sha256 of every output file. BLAS is pinned to one thread.
 
 The reference (``scripts/fingerprint_ref.json``) is keyed by the numpy
 version, the BLAS name and version and the machine type, because GEMM bits
@@ -76,6 +78,7 @@ EXTRA_RUNS = [
      ["task.kind=scripted_arrangement", "task.width=6", "task.height=1",
       "task.n_blocks=0", "task.allowed_primitives=push,pick",
       "task.rotations=2", "task.layout=2..3.1"]),
+    ("wrap", 200, 3, ["replay.capacity=16"]),
 ]
 
 

@@ -62,6 +62,13 @@ class Action:
     q_value: float = 0.0
 
 
+def action_fields(action):
+    """An Action as replay rows keep it and ``qfunc.stack_input`` reads it:
+    (its primitive's place in PRIMITIVE_ORDER, x, y, theta_index, q_value)."""
+    return (PRIMITIVE_ORDER.index(action.primitive), action.x, action.y,
+            action.theta_index, action.q_value)
+
+
 @dataclass(frozen=True)
 class TaskConfig:
     kind: TaskKind
@@ -186,7 +193,9 @@ class Workspace:
 class Observation:
     """What the learner sees of a workspace, taken at one step: a copy of
     its height grid, the holding flag and the task's ``height_norm``.
-    ``qfunc.stack_input`` lays these out as the network's input."""
+    Acting passes these fields to ``qfunc.stack_input``, which lays them out
+    as the network's input; a replay row keeps them in its slot arrays, and
+    training passes them from there, with no Observation."""
     heights: np.ndarray          # (height, width) ints, a copy
     holding: bool
     height_norm: int

@@ -301,8 +301,8 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
 
         loss = None
         if buffer.sampleable_count() >= cfg.batch_size:
-            batch, ids = buffer.sample(cfg.batch_size, replay_rng)
-            loss, per_losses = train_step(net, batch, cfg.hyper)
+            ids = buffer.sample(cfg.batch_size, replay_rng)
+            loss, per_losses = train_step(net, buffer.rows(ids), cfg.hyper)
             buffer.update_priorities(ids, per_losses)
             if cfg.exploration_kind == "lae":
                 lae = update_exploration(lae, loss)

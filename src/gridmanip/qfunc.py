@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridsim import (Action, ConfigError, Observation, Primitive,
-                      PRIMITIVE_ORDER, check_value, theta_radians)
-from .reward import RewardMap
+from .gridsim import (ConfigError, Primitive, PRIMITIVE_ORDER, action_fields,
+                      check_value, theta_radians)
 
 IN_CHANNELS = 3 + len(PRIMITIVE_ORDER)     # scene, context (stack_input)
 CHECKPOINT_MAGIC = b"GMQN"
@@ -317,23 +316,36 @@ class QNetwork:
         return out
 
 
-def stack_input(obs: Observation, prev_action: Action | None) -> np.ndarray:
-    """conv1's flat input: occupancy, the stack height over height_norm
-    clipped to [0, 1] and the holding flag, each over the grid; one channel
-    per primitive, in PRIMITIVE_ORDER, with the previous action's Q at its
-    pose in its own channel (all zero for None, at an episode's start); then
-    a zero that conv1's gather reads for padded and out-of-grid pixels."""
-    h, w = obs.shape
+def stack_input(heights, holding, height_norm, prev) -> np.ndarray:
+    """conv1's flat input from one observation's fields: occupancy, the
+    stack height over height_norm clipped to [0, 1] and the holding flag,
+    each over the grid; one channel per primitive, in PRIMITIVE_ORDER, with
+    the previous action's Q at its pose in its own channel (all zero when
+    ``prev`` is None, at an episode's start); then a zero that conv1's
+    gather reads for padded and out-of-grid pixels.
+
+    Acting passes an ``Observation``'s fields and training a replay row's,
+    whose heights are unsigned ints: the channels take the same floats from
+    either. ``prev`` is the previous action's ``gridsim.action_fields``, as
+    a row's record keeps them.
+    """
+    h, w = heights.shape
     x = np.zeros(IN_CHANNELS * h * w + 1)
     scene = x[:3 * h * w].reshape(3, h, w)
-    scene[0] = obs.heights > 0
-    scene[1] = np.minimum(obs.heights / obs.height_norm, 1.0)  # counts >= 0
-    scene[2] = obs.holding
-    if prev_action is not None:
-        channel = 3 + PRIMITIVE_ORDER.index(prev_action.primitive)
-        x[(channel * h + prev_action.y) * w + prev_action.x] = \
-            prev_action.q_value
+    scene[0] = heights > 0
+    scene[1] = np.minimum(heights / height_norm, 1.0)  # counts >= 0
+    scene[2] = holding
+    if prev is not None:
+        primitive, px, py, _, q_value = prev
+        x[((3 + primitive) * h + py) * w + px] = q_value
     return x
+
+
+def _observed_input(obs, prev_action):
+    """stack_input of an Observation and the Action before it, or None."""
+    return stack_input(obs.heights, obs.holding, obs.height_norm,
+                       None if prev_action is None
+                       else action_fields(prev_action))
 
 
 def forward_rotation(net: QNetwork, x: np.ndarray, shape, primitive: Primitive,
@@ -359,7 +371,7 @@ def forward_all(net: QNetwork, obs, prev_action, primitives) -> dict:
     """
     (h, w), g = obs.shape, net.rotations
     index, back, zero = _rotation_stack(h, w, g)
-    p1 = stack_input(obs, prev_action)[index]
+    p1 = _observed_input(obs, prev_action)[index]
     maps = {}
     for prim in primitives:
         # [0] drops the forward cache at once: no backward reads it.
@@ -373,7 +385,7 @@ def forward_all(net: QNetwork, obs, prev_action, primitives) -> dict:
 def forward_one(net: QNetwork, obs, prev_action, primitive, theta_index):
     """One rotation's (h, w) Q grid of one primitive: the same floats as that
     entry of ``forward_all``'s map set, for a one-rotation stack pass."""
-    return forward_rotation(net, stack_input(obs, prev_action), obs.shape,
+    return forward_rotation(net, _observed_input(obs, prev_action), obs.shape,
                             primitive, theta_index)[0]
 
 
@@ -415,14 +427,15 @@ def robust_loss(residual, alpha: float, c: float):
     return loss, grad
 
 
-def build_target_map(reward_map: RewardMap, action: Action, y: float):
-    """Per-pixel targets on the reward map's supervised box, scaled so the
-    executed pixel carries exactly ``y``; all-zero when the spike itself is
-    zero."""
-    executed = reward_map.at(action.y, action.x)
+def build_target_map(values, dy, dx, y: float):
+    """Per-pixel targets on a reward map's supervised box of ``values``,
+    scaled so the executed pixel, at (dy, dx) in the box, carries exactly
+    ``y``; all-zero when that pixel is off the box or its value is zero."""
+    bh, bw = values.shape
+    executed = values[dy, dx] if 0 <= dy < bh and 0 <= dx < bw else 0.0
     if executed > 0.0:
-        return y * reward_map.values / executed
-    return np.zeros_like(reward_map.values)
+        return y * values / executed
+    return np.zeros_like(values)
 
 
 @dataclass(frozen=True)
@@ -446,62 +459,73 @@ class TrainHyper:
                     math.isfinite(self.loss_alpha), "finite")
 
 
-def transition_loss(net: QNetwork, tr, hp: TrainHyper):
-    """Robust per-pixel losses of one finalized transition, and what
+def transition_loss(net: QNetwork, heights, row, box, hp: TrainHyper):
+    """Robust per-pixel losses of one finalized replay row, and what
     ``transition_backward`` needs to differentiate their mean.
 
-    Supervision covers only the executed primitive's map at the executed
-    rotation, on the reward map's supervised box. The losses are a flat
-    array, the box's pixels in row-major order.
+    ``heights``, ``row`` and ``box`` are one row of ``ReplayBuffer.rows``:
+    its height grid, its record as a tuple (``tolist``) and its box slot,
+    whose ``[:h, :w]`` holds the record's box values. Supervision covers
+    only the executed primitive's map at the executed rotation, on the
+    reward map's supervised box. The losses are a flat array, the box's
+    pixels in row-major order.
     """
-    x = stack_input(tr.observation, tr.prev_action)
-    pred, cache, theta = forward_rotation(net, x, tr.observation.shape,
-                                          tr.action.primitive,
-                                          tr.action.theta_index)
-    y = compute_target(tr.r_t, tr.r_next, hp.gamma)
-    targets = build_target_map(tr.reward_map, tr.action, y)
-    box = tr.reward_map.box
-    residuals = (pred[box] - targets).ravel()
+    (holding, height_norm, action, prev, has_prev, r_t, r_next,
+     (y0, x0, bh, bw)) = row
+    index, ax, ay, theta_index, _ = action
+    primitive = PRIMITIVE_ORDER[index]
+    x = stack_input(heights, holding, height_norm, prev if has_prev else None)
+    pred, cache, theta = forward_rotation(net, x, heights.shape, primitive,
+                                          theta_index)
+    y = compute_target(r_t, r_next, hp.gamma)
+    targets = build_target_map(box[:bh, :bw], ay - y0, ax - x0, y)
+    window = slice(y0, y0 + bh), slice(x0, x0 + bw)
+    residuals = (pred[window] - targets).ravel()
     losses, dresiduals = robust_loss(residuals, hp.loss_alpha, hp.loss_scale)
-    return losses, (pred, cache, theta, box, dresiduals)
+    return losses, (primitive, pred, cache, theta, window, dresiduals)
 
 
-def transition_backward(net: QNetwork, tr, saved, grads, batch_size=1):
-    """Accumulate the gradient of the transition's mean loss, divided by
-    ``batch_size``, into ``grads`` for the executed primitive's stack."""
-    pred, cache, theta, box, dresiduals = saved
+def transition_backward(net: QNetwork, saved, grads, batch_size=1):
+    """Accumulate the gradient of a row's mean loss, divided by
+    ``batch_size``, into ``grads`` for the executed primitive's stack;
+    ``saved`` is what ``transition_loss`` returned for the row."""
+    primitive, pred, cache, theta, window, dresiduals = saved
     dpred = np.zeros_like(pred)
-    dbox = dpred[box]
+    dbox = dpred[window]
     dbox.flat = dresiduals / (dresiduals.size * batch_size)
-    net.stacks[tr.action.primitive].backward(
-        cache, rotate_grid_grad(dpred, theta), grads)
+    net.stacks[primitive].backward(cache, rotate_grid_grad(dpred, theta),
+                                   grads)
 
 
 def train_step(net: QNetwork, batch, hp: TrainHyper):
-    """One SGD step over a batch of finalized transitions.
+    """One SGD step over a batch of finalized replay rows, the ``(heights,
+    records, boxes)`` that ``ReplayBuffer.rows`` returns.
 
     Only the executed primitive's network receives gradient (see
     ``transition_loss``); the others are left untouched, including their
-    momentum state. Returns (mean batch loss, per-transition losses).
+    momentum state. Returns (mean batch loss, per-row losses).
     """
-    if not batch:
+    heights, records, boxes = batch
+    n = len(records)
+    if not n:
         raise ValueError("batch must be nonempty")
     grads = {prim: {} for prim in PRIMITIVE_ORDER}
     touched = set()
-    per_losses = np.zeros(len(batch))
-    n = len(batch)
+    per_losses = np.zeros(n)
 
-    # Each item's backward runs right after its forward, while its patch
+    # Each row's backward runs right after its forward, while its patch
     # matrices are still in cache (measured faster than batching the loss).
-    for i, tr in enumerate(batch):
-        # Rebinding `saved` frees the previous item's forward cache before
-        # this item's backward allocates. Holding it through the backward
+    # tolist() gives every record field as the Python value the loss reads.
+    for i, row in enumerate(records.tolist()):
+        # Rebinding `saved` frees the previous row's forward cache before
+        # this row's backward allocates. Holding it through the backward
         # makes glibc trim and refault the heap on 14x14 grids.
-        losses, saved = transition_loss(net, tr, hp)
+        losses, saved = transition_loss(net, heights[i], row, boxes[i], hp)
         # The mean as np.mean computes it: pairwise sum, then one division.
         per_losses[i] = losses.sum() / losses.size
-        transition_backward(net, tr, saved, grads[tr.action.primitive], n)
-        touched.add(tr.action.primitive)
+        primitive = saved[0]
+        transition_backward(net, saved, grads[primitive], n)
+        touched.add(primitive)
 
     mean_loss = float(np.mean(per_losses))
     if not np.isfinite(mean_loss):

@@ -9,12 +9,14 @@ The buffer keeps every row's fields in arrays, allocated at the first push
 and indexed by ring slot, ``insert_index % capacity``: the height grid in
 the narrowest unsigned dtype that holds ``max_height``, the holding flag and
 height norm, the action and the previous action (with a flag for none), the
-two rewards, and the reward map's supervised box with its values. ``sample``
-and ``items`` build ``Transition``s from the slots, so no Python object is
-kept per row, and ``pending_reward`` reads one field of the newest row. A
-row takes 84 bytes of scalar fields, its height grid and its box: 576 bytes
-at 10x10 with uint8 heights and the Gaussian reward's 7x7 box at the default
-sigmas, 128 bytes at 6x6 with the baseline's one-pixel box.
+two rewards, and the reward map's supervised box with its values. The slot
+arrays are the only form a stored row takes: a ``Transition`` is what
+``push`` takes in, ``sample`` returns the drawn insert ids, ``rows(ids)``
+hands training the drawn slots of the three arrays, and ``pending_reward``
+reads one field of the newest row. A row takes 84 bytes of scalar fields,
+its height grid and its box: 576 bytes at 10x10 with uint8 heights and the
+Gaussian reward's 7x7 box at the default sigmas, 128 bytes at 6x6 with the
+baseline's one-pixel box.
 
 The buffer owns every priority: they live in one preallocated float64 array
 kept in insertion order. Eviction is oldest-first, so held insert indices
@@ -35,10 +37,12 @@ one full cumulative sum plus, per later draw, one over the tail from the
 item drawn last. ``probabilities`` and single draws keep the scattered law
 and its cumulative sum until the buffer next changes, so repeated single
 draws from an unchanged buffer skip both; a batch draw rewrites its own
-copy, so training pays no extra copy. None of them walks the transitions in Python. On a
-2-vCPU x86-64 VM with NumPy 2.4, one push, sample and update of k = 8 take
-about 0.15 ms together at N = 4000, 0.10 ms at N = 2000 and 0.07 ms at
-N = 50.
+copy, so training pays no extra copy. ``rows`` checks its k ids and makes
+three fancy indexes of k slots, whatever N. None of them walks the
+transitions in Python. On a 2-vCPU x86-64 VM with NumPy 2.4, one push,
+sample, rows and update of k = 8 take about 0.16 ms together at N = 4000
+(6x6 rows), 0.13 ms at N = 2000 and 0.08 ms at N = 50 (10x10 rows); rows
+alone takes about 15 us.
 """
 
 import math
@@ -46,8 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridsim import Action, Observation, PRIMITIVE_ORDER
-from .reward import RewardMap
+from .gridsim import PRIMITIVE_ORDER, action_fields
 
 PRIORITY_FLOOR = 1e-6
 
@@ -66,16 +69,6 @@ _ROW = np.dtype([
 ])
 
 
-def _action_fields(action):
-    return (PRIMITIVE_ORDER.index(action.primitive), action.x, action.y,
-            action.theta_index, action.q_value)
-
-
-def _action(fields):
-    primitive, x, y, theta_index, q_value = fields
-    return Action(PRIMITIVE_ORDER[primitive], x, y, theta_index, q_value)
-
-
 class ReplayError(RuntimeError):
     pass
 
@@ -84,19 +77,15 @@ class UnderfullError(ReplayError):
     """Fewer sampleable transitions than requested; skip the train step."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transition:
+    """One step as ``push`` stores it in a row."""
     observation: object
     prev_action: object     # the Action before; None at an episode's start
     action: object
     r_t: float
     reward_map: object
-    r_next: float | None = None     # pending until the next step finalizes it
-    insert_index: int = -1
-
-    @property
-    def pending(self):
-        return self.r_next is None
+    r_next: float | None = None     # None: pending until finalize_pending
 
 
 class ReplayBuffer:
@@ -106,9 +95,8 @@ class ReplayBuffer:
     once for every rank up to ``capacity``. Height grids are stored in the
     narrowest unsigned dtype that holds ``max_height``, which training sets
     to the task's block count; pushing a height that dtype cannot hold
-    raises ReplayError. ``push`` stamps the pushed transition's
-    ``insert_index``, and ``finalize_pending`` sets its ``r_next``, as well
-    as storing both.
+    raises ReplayError. ``push`` returns the row's insert index, which
+    ``sample`` draws and ``rows`` and ``update_priorities`` take.
     """
 
     def __init__(self, capacity: int = 2000, rank_exponent: float = 0.7,
@@ -128,8 +116,7 @@ class ReplayBuffer:
         self._rank_law = (1.0 / np.arange(1, capacity + 1)) ** rank_exponent
         self._next_index = 0
         self._law = None        # see _sampleable_law
-        self._pending = None    # the pushed Transition awaiting its r_next
-        self._built = {}        # see _transition
+        self._pending = False   # whether the newest row awaits its r_next
         # Per ring slot, allocated at the first push (see _store).
         self._heights = self._rows = self._box_values = None
 
@@ -138,11 +125,11 @@ class ReplayBuffer:
 
     @property
     def has_pending(self):
-        return self._pending is not None
+        return self._pending
 
     def pending_reward(self) -> float:
         """The pending transition's r_t, read from its row."""
-        if self._pending is None:
+        if not self._pending:
             raise ReplayError("no pending transition")
         return float(self._rows["r_t"][(self._next_index - 1) % self.capacity])
 
@@ -155,13 +142,13 @@ class ReplayBuffer:
     def sampleable_count(self):
         return self._sampleable()
 
-    def push(self, transition: Transition):
-        """Store with priority equal to the current maximum (1.0 if empty)."""
+    def push(self, transition: Transition) -> int:
+        """Store with priority equal to the current maximum (1.0 if empty);
+        returns the row's insert index."""
         if self.has_pending:
             raise ReplayError("previous transition still pending; finalize first")
         self._check(transition)
         self._law = None
-        self._built = {}
         n = self._len
         order = self._order
         priority = -order[0].real if n else 1.0
@@ -171,12 +158,11 @@ class ReplayBuffer:
             order[pos:n - 1] = order[pos + 1:n]
             self._priorities[:-1] = self._priorities[1:]
             n -= 1
-        transition.insert_index = index = self._next_index
+        index = self._next_index
         self._next_index += 1
         self._store(index % self.capacity, transition)
         self._len = n + 1
-        if transition.pending:
-            self._pending = transition
+        self._pending = transition.r_next is None
         self._priorities[n] = priority
         # Ranks last among the items tied at the maximum: it is the newest.
         key = complex(-priority, index)
@@ -184,6 +170,7 @@ class ReplayBuffer:
         # A copy: NumPy shifts an overlapping slice rightwards element-wise.
         order[pos + 1:n + 1] = order[pos:n].copy()
         order[pos] = key
+        return index
 
     def _check(self, transition):
         """Raise ReplayError unless the transition's grids fit the rows."""
@@ -224,65 +211,21 @@ class ReplayBuffer:
             self._box_values = boxes = grown
         self._heights[slot] = obs.heights
         self._rows[slot] = (
-            obs.holding, obs.height_norm, _action_fields(transition.action),
-            _action_fields(prev) if prev is not None else (0, 0, 0, 0, 0.0),
+            obs.holding, obs.height_norm, action_fields(transition.action),
+            action_fields(prev) if prev is not None else (0, 0, 0, 0, 0.0),
             prev is not None, transition.r_t,
-            math.nan if transition.pending else transition.r_next,
+            math.nan if transition.r_next is None else transition.r_next,
             (rmap.y0, rmap.x0, *values.shape))
         boxes[slot, :values.shape[0], :values.shape[1]] = values
-
-    def _transition(self, index):
-        """The held transition with this insert index, kept until push or
-        finalize_pending changes a row, so repeated draws from an unchanged
-        buffer build it once and get the same object."""
-        tr = self._built.get(index)
-        if tr is None:
-            tr = self._built[index] = self._build(index)
-        return tr
-
-    def _build(self, index):
-        """A Transition of the held row with this insert index, with copies
-        of its arrays."""
-        slot = index % self.capacity
-        (holding, height_norm, action, prev, has_prev, r_t, r_next,
-         (y0, x0, h, w)) = self._rows[slot].item()
-        heights = self._heights[slot].copy()
-        pending = self.has_pending and index == self._next_index - 1
-        return Transition(
-            observation=Observation(heights=heights, holding=holding,
-                                    height_norm=height_norm),
-            prev_action=_action(prev) if has_prev else None,
-            action=_action(action), r_t=r_t,
-            reward_map=RewardMap(y0=y0, x0=x0,
-                                 values=self._box_values[slot, :h, :w].copy(),
-                                 shape=heights.shape),
-            r_next=None if pending else r_next, insert_index=index)
-
-    def items(self):
-        """Every held transition, oldest first. A row whose previous action
-        holds the fields of the row before's action gets that Action object,
-        as training pushed them."""
-        out = []
-        for index in range(self._next_index - self._len, self._next_index):
-            tr = self._build(index)
-            slot, before = index % self.capacity, (index - 1) % self.capacity
-            if out and tr.prev_action is not None and \
-                    self._rows["prev_action"][slot].tobytes() == \
-                    self._rows["action"][before].tobytes():
-                tr.prev_action = out[-1].action
-            out.append(tr)
-        return out
 
     def finalize_pending(self, r_next: float):
         """Attach the follow-up reward to the most recent transition."""
         if not self.has_pending:
             raise ReplayError("no pending transition to finalize")
         self._law = None
-        self._built = {}
-        r_next = float(r_next)
-        self._rows["r_next"][(self._next_index - 1) % self.capacity] = r_next
-        self._pending.r_next = r_next
-        self._pending = None
+        self._rows["r_next"][(self._next_index - 1) % self.capacity] = \
+            float(r_next)
+        self._pending = False
 
     def _rank_weights(self, n):
         """(1/rank)^omega for the n oldest items, ranks by descending priority
@@ -312,8 +255,8 @@ class ReplayBuffer:
         return weights / weights.sum()
 
     def sample(self, k: int, rng: np.random.Generator):
-        """Draw k distinct finalized transitions (sequential renormalized
-        draws from the rank law); returns (items, ids)."""
+        """Draw k distinct finalized rows (sequential renormalized draws
+        from the rank law); returns their insert ids, in draw order."""
         n = self._sampleable()
         if n < k:
             raise UnderfullError(f"need {k} sampleable transitions, have {n}")
@@ -339,7 +282,26 @@ class ReplayBuffer:
             pos = int(cdf.searchsorted(u * cdf[-1], side="right"))
             pos = min(pos, n - 1)
             chosen.append(oldest + pos)
-        return [self._transition(index) for index in chosen], chosen
+        return chosen
+
+    def rows(self, ids):
+        """The held rows with these insert ids, in their order: (heights,
+        records, boxes), each one fancy index of its slot array, so a copy.
+        ``heights[i]`` is row i's height grid, ``records[i]`` its ``_ROW``
+        record, and ``boxes[i]`` holds its reward box's values at
+        ``[:h, :w]`` of the record's box; the rest of ``boxes[i]`` is
+        unspecified. A pending row's ``r_next`` is NaN."""
+        if self._rows is None:
+            raise ReplayError("no row has been pushed")
+        oldest = self._next_index - self._len
+        for index in ids:
+            if not oldest <= index < self._next_index:
+                raise ReplayError(f"insert index {index} is not held; the "
+                                  f"buffer holds [{oldest}, "
+                                  f"{self._next_index})")
+        slots = np.asarray(ids, dtype=np.intp) % self.capacity
+        return (self._heights[slots], self._rows[slots],
+                self._box_values[slots])
 
     def update_priorities(self, ids, losses):
         """priority <- |loss| + floor; ids evicted in the meantime are skipped,

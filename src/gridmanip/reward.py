@@ -78,25 +78,12 @@ class RewardMap:
         bh, bw = self.values.shape
         return slice(self.y0, self.y0 + bh), slice(self.x0, self.x0 + bw)
 
-    def at(self, y, x):
-        """The map's value at grid pixel (y, x)."""
-        bh, bw = self.values.shape
-        dy, dx = y - self.y0, x - self.x0
-        return self.values[dy, dx] if 0 <= dy < bh and 0 <= dx < bw else 0.0
-
     @property
     def grid(self):
         """The whole (h, w) map."""
         grid = np.zeros(self.shape)
         grid[self.box] = self.values
         return grid
-
-    @property
-    def supervised_mask(self):
-        """(h, w) bools: the pixels that carry a training target."""
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[self.box] = True
-        return mask
 
 
 def task_progress_reward(primitive: Primitive, success: int, progress: float,

@@ -13,7 +13,7 @@ import numpy as np
 from .gridsim import Action, Observation, PRIMITIVE_ORDER
 from .qfunc import (QNetwork, TrainHyper, _PARAM_NAMES, transition_backward,
                     transition_loss)
-from .replay import Transition
+from .replay import ReplayBuffer, Transition
 from .reward import RewardMap, RewardParams, gaussian_kernel, tpg_reward_map
 
 
@@ -69,15 +69,15 @@ def convolution_check(n_grids=200, max_size=32, seed=20240501,
                               f"over {n_grids} grids (tol {tolerance:g})")
 
 
-def _transition_loss(net, transition, hp):
-    """Scalar loss of one transition plus the ReLU on/off pattern.
+def _transition_loss(net, row, hp):
+    """Scalar loss of one packed row plus the ReLU on/off pattern.
 
     The pattern lets the finite-difference probe reject steps that cross an
     activation kink, where central differences are invalid but the analytic
     gradient is exact.
     """
-    losses, saved = transition_loss(net, transition, hp)
-    a1, a2 = saved[1][0], saved[1][2]
+    losses, saved = transition_loss(net, *row, hp)
+    a1, a2 = saved[2][0], saved[2][2]
     pattern = np.concatenate([(a1 > 0.0).ravel(), (a2 > 0.0).ravel()])
     return float(np.mean(losses)), pattern
 
@@ -130,10 +130,16 @@ def gradient_check(n_draws=100, coords_per_draw=40, h=6, w=6, seed=20240502,
         # spread sampled coordinates over narrow stacks for speed.
         hidden = 16 if (exhaustive_first and draw == 0) else 4
         net = QNetwork.init(rng, hidden_channels=hidden, rotations=4)
-        tr = random_transition(rng, h=h, w=w)
+        # The transition as training reads it: pushed into a replay
+        # buffer, and its row read back.
+        buffer = ReplayBuffer(capacity=1)
+        heights, records, boxes = buffer.rows(
+            [buffer.push(random_transition(rng, h=h, w=w))])
+        row = heights[0], records.tolist()[0], boxes[0]
+        saved = transition_loss(net, *row, hp)[1]
         grads = {}      # analytic dLoss/dparams; no update is applied
-        transition_backward(net, tr, transition_loss(net, tr, hp)[1], grads)
-        stack = net.stacks[tr.action.primitive]
+        transition_backward(net, saved, grads)
+        stack = net.stacks[saved[0]]
         for name in _PARAM_NAMES:
             arr = getattr(stack, name)
             if exhaustive_first and draw == 0:
@@ -146,9 +152,9 @@ def gradient_check(n_draws=100, coords_per_draw=40, h=6, w=6, seed=20240502,
             for coord in coords:
                 original = arr[coord]
                 arr[coord] = original + step
-                up, pattern_up = _transition_loss(net, tr, hp)
+                up, pattern_up = _transition_loss(net, row, hp)
                 arr[coord] = original - step
-                down, pattern_down = _transition_loss(net, tr, hp)
+                down, pattern_down = _transition_loss(net, row, hp)
                 arr[coord] = original
                 if not np.array_equal(pattern_up, pattern_down):
                     skipped += 1

@@ -150,7 +150,7 @@ class TestCriterion4ReplayLaw:
         start = time.time()
         priorities = [5.0, 0.3, 2.0, 2.0, 9.0, 0.01, 1.0, 4.0]
         buf = ReplayBuffer(capacity=16, rank_exponent=0.7)
-        items = []
+        ids = []
         for p in priorities:
             # A real 1x1 row; only its priority matters here.
             t = Transition(observation=Observation(np.zeros((1, 1), int),
@@ -160,17 +160,15 @@ class TestCriterion4ReplayLaw:
                            r_t=0.0,
                            reward_map=spike_reward_map(0.0, (0, 0), (1, 1)),
                            r_next=0.0)
-            buf.push(t)
-            buf.update_priorities([t.insert_index], [p])
-            items.append(t)
+            ids.append(buf.push(t))
+            buf.update_priorities(ids[-1:], [p])
         probs = buf.probabilities()
         n = 1_000_000
         rng = np.random.default_rng(0)
         counts = np.zeros(len(priorities))
-        id_to_pos = {t.insert_index: i for i, t in enumerate(items)}
+        id_to_pos = {index: i for i, index in enumerate(ids)}
         for _ in range(n):
-            _, ids = buf.sample(1, rng)
-            counts[id_to_pos[ids[0]]] += 1
+            counts[id_to_pos[buf.sample(1, rng)[0]]] += 1
         freqs = counts / n
         se = np.sqrt(probs * (1 - probs) / n)
         deviations = np.abs(freqs - probs) / se

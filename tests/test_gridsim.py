@@ -13,7 +13,9 @@ from gridmanip.qfunc import stack_input
 def scene_channels(ws):
     """The (3, h, w) scene channels of the network's input for ``ws``."""
     h, w = ws.heights.shape
-    return stack_input(gridsim.observe(ws), None)[:3 * h * w].reshape(3, h, w)
+    obs = gridsim.observe(ws)
+    x = stack_input(obs.heights, obs.holding, obs.height_norm, None)
+    return x[:3 * h * w].reshape(3, h, w)
 
 
 def clutter_task(n=10, width=14, height=14, **kw):

@@ -177,15 +177,18 @@ class TestTrain:
 
     def test_buffered_prev_action_is_the_row_before(self):
         report = train(small_config(train_steps=120))
-        items = report.replay_buffer.items()
-        assert len(items) == len(report.records) == 120
+        buf = report.replay_buffer
+        assert len(buf) == len(report.records) == 120
+        records = buf.rows(range(120))[1]
         starts = 0
-        for i, tr in enumerate(items):
+        for i, record in enumerate(records):
             if i == 0 or report.records[i - 1].done:
                 starts += 1
-                assert tr.prev_action is None
+                assert not record["has_prev"]
             else:
-                assert tr.prev_action is items[i - 1].action
+                assert record["has_prev"]
+                assert record["prev_action"].tobytes() == \
+                    records[i - 1]["action"].tobytes()
         assert starts == len(report.episodes) + (not report.records[-1].done)
 
     def test_train_and_evaluate_leave_the_task_unchanged(self):
@@ -302,7 +305,8 @@ class TestTrain:
         rmap = tpg_reward_map(r_tp, (3, 3, 0.0), cfg.reward, (7, 7))
         y = compute_target(r_tp, r_tp, cfg.hyper.gamma)
         assert (y * rmap.grid).max() < 1e250
-        targets = build_target_map(rmap, action, y)
+        targets = build_target_map(rmap.values, action.y - rmap.y0,
+                                   action.x - rmap.x0, y)
         losses, _ = robust_loss(-targets, cfg.hyper.loss_alpha,
                                 cfg.hyper.loss_scale)
         assert np.isfinite(losses).all() and losses.max() > 1e100

@@ -1,13 +1,14 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gridmanip.gridsim import (Action, Observation, Primitive, PRIMITIVE_ORDER,
-                               TaskConfig, TaskKind, Workspace, observe,
-                               theta_radians)
+                               TaskConfig, TaskKind, Workspace, action_fields,
+                               observe, theta_radians)
 from gridmanip import qfunc
 from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError, IN_CHANNELS,
                              QNetwork, TrainHyper, TrainingDivergence,
@@ -17,9 +18,10 @@ from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError, IN_CHANNELS,
                              read_checkpoint_header, robust_loss, rotate_grid,
                              rotate_grid_grad, save_checkpoint, stack_input,
                              train_step, transition_backward, transition_loss)
-from gridmanip.replay import Transition
+from gridmanip.replay import ReplayBuffer, Transition
 from gridmanip.reward import RewardParams, spike_reward_map, tpg_reward_map
 from gridmanip.selftest import gradient_check, random_transition
+from test_reward import supervised_mask
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +182,39 @@ def ref_target_map(reward_map, action, y):
     return np.zeros_like(grid)
 
 
+def observed_input(obs, prev_action):
+    """stack_input of an Observation and the Action before it, or None."""
+    return stack_input(obs.heights, obs.holding, obs.height_norm,
+                       None if prev_action is None
+                       else action_fields(prev_action))
+
+
+def batch_of(transitions):
+    """The transitions as train_step reads them: pushed into a replay
+    buffer, and their rows read back in push order."""
+    buf = ReplayBuffer(capacity=len(transitions), max_height=max(
+        int(tr.observation.heights.max()) for tr in transitions))
+    return buf.rows([buf.push(tr) for tr in transitions])
+
+
+def row_of(transition):
+    """One transition as transition_loss reads it: (heights, record tuple,
+    box slot) of its replay row."""
+    heights, records, boxes = batch_of([transition])
+    return heights[0], records.tolist()[0], boxes[0]
+
+
 def ref_transition_grads(net, tr, hp, batch_size):
     """transition_loss and transition_backward on the full grid: targets and
     gradient over every pixel, the supervised ones picked by a boolean mask,
     through the network code under test."""
-    x = stack_input(tr.observation, tr.prev_action)
+    x = observed_input(tr.observation, tr.prev_action)
     pred, cache, theta = forward_rotation(net, x, tr.observation.shape,
                                           tr.action.primitive,
                                           tr.action.theta_index)
     y = compute_target(tr.r_t, tr.r_next, hp.gamma)
     targets = ref_target_map(tr.reward_map, tr.action, y)
-    mask = tr.reward_map.supervised_mask
+    mask = supervised_mask(tr.reward_map)
     losses, dresiduals = robust_loss(pred[mask] - targets[mask],
                                      hp.loss_alpha, hp.loss_scale)
     dpred = np.zeros_like(pred)
@@ -212,7 +236,7 @@ def ref_train_step(net, batch, hp):
                                                   tr.action.theta_index)
         y = compute_target(tr.r_t, tr.r_next, hp.gamma)
         targets = ref_target_map(tr.reward_map, tr.action, y)
-        mask = tr.reward_map.supervised_mask
+        mask = supervised_mask(tr.reward_map)
         residuals = pred[mask] - targets[mask]
         losses, dresiduals = robust_loss(residuals, hp.loss_alpha,
                                          hp.loss_scale)
@@ -296,6 +320,17 @@ def fresh_net(seed=0, hidden=16, rotations=4):
 def params_snapshot(net):
     return {prim: {k: v.copy() for k, v in net.stacks[prim].params().items()}
             for prim in PRIMITIVE_ORDER}
+
+
+def assert_same_params(net, ref_net):
+    """Every parameter and momentum array of the two networks, by bytes."""
+    for prim in PRIMITIVE_ORDER:
+        stack, ref_stack = net.stacks[prim], ref_net.stacks[prim]
+        for name, arr in stack.params().items():
+            assert arr.tobytes() == ref_stack.params()[name].tobytes()
+        assert stack.velocity.keys() == ref_stack.velocity.keys()
+        for name, v in stack.velocity.items():
+            assert v.tobytes() == ref_stack.velocity[name].tobytes()
 
 
 def params_equal(snap, net, prims):
@@ -421,17 +456,43 @@ class TestReferenceOracle:
         for _ in range(3):
             batch = [oracle_transition(rng, h, w, rotations)
                      for _ in range(batch_size)]
-            loss, per = train_step(net, batch, hp)
+            loss, per = train_step(net, batch_of(batch), hp)
             ref_loss, ref_per = ref_train_step(ref_net, batch, hp)
             assert per.tobytes() == ref_per.tobytes()
             assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-        for prim in PRIMITIVE_ORDER:
-            stack, ref_stack = net.stacks[prim], ref_net.stacks[prim]
-            for name, arr in stack.params().items():
-                assert arr.tobytes() == ref_stack.params()[name].tobytes()
-            assert stack.velocity.keys() == ref_stack.velocity.keys()
-            for name, v in stack.velocity.items():
-                assert v.tobytes() == ref_stack.velocity[name].tobytes()
+        assert_same_params(net, ref_net)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=oracle_shapes, hidden=st.integers(1, 8),
+           kinds=st.lists(st.sampled_from(["tpg", "spike"]), min_size=2,
+                          max_size=6).filter(lambda k: len(set(k)) == 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_mixed_box_batch_bitwise_equal(self, shape, hidden, kinds, seed):
+        # TPG boxes of several sizes and one-pixel spikes in one batch: each
+        # row's box slot is as large as the largest box pushed, so the loss
+        # must read each row's own bh x bw of it.
+        h, w, rotations = shape
+        rng, (net, ref_net) = oracle_case(seed, rotations, hidden)
+        hp = TrainHyper(lr=0.05)
+        batch = []
+        for kind in kinds:
+            tr = oracle_transition(rng, h, w, rotations)
+            a, r_t = tr.action, float(rng.uniform(0.05, 1.0))
+            if kind == "tpg":
+                sigma_y = float(rng.choice([0.3, 0.5, 1.0]))
+                rmap = tpg_reward_map(
+                    r_t, (a.x, a.y, theta_radians(a.theta_index, rotations)),
+                    RewardParams(sigma_y=sigma_y), (h, w))
+            else:
+                rmap = spike_reward_map(r_t, (a.x, a.y), (h, w))
+            batch.append(replace(tr, r_t=r_t, reward_map=rmap))
+        heights, records, boxes = rows = batch_of(batch)
+        assert (records["box"]["h"] < boxes.shape[1]).any()
+        loss, per = train_step(net, rows, hp)
+        ref_loss, ref_per = ref_train_step(ref_net, batch, hp)
+        assert per.tobytes() == ref_per.tobytes()
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert_same_params(net, ref_net)
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
@@ -450,15 +511,15 @@ class TestReferenceOracle:
         if kind != "box":
             r_t = float(rng.choice([0.0, rng.uniform(0.05, 1.0)]))
             a = tr.action
-            tr.r_t, tr.reward_map = r_t, (
+            tr = replace(tr, r_t=r_t, reward_map=(
                 tpg_reward_map(r_t, (a.x, a.y, theta_radians(a.theta_index, 2)),
                                RewardParams(sigma_y=float(rng.uniform(0.3, 2.0))),
                                shape)
-                if kind == "tpg" else spike_reward_map(r_t, (a.x, a.y), shape))
+                if kind == "tpg" else spike_reward_map(r_t, (a.x, a.y), shape)))
         hp = TrainHyper(loss_alpha=alpha, loss_scale=float(rng.uniform(0.5, 2.0)))
-        losses, saved = transition_loss(net, tr, hp)
+        losses, saved = transition_loss(net, *row_of(tr), hp)
         grads = {}
-        transition_backward(net, tr, saved, grads, batch_size)
+        transition_backward(net, saved, grads, batch_size)
         ref_losses, ref_grads = ref_transition_grads(net, tr, hp, batch_size)
         assert losses.tobytes() == ref_losses.tobytes()
         assert grads.keys() == ref_grads.keys()
@@ -585,7 +646,7 @@ def context_block(prev_action, h, w):
     """The (3, h, w) context channels of stack_input's vector, after checking
     that the scene channels and the trailing zero slot are intact."""
     obs = random_observation(np.random.default_rng(9), h, w)
-    x = stack_input(obs, prev_action)
+    x = observed_input(obs, prev_action)
     assert x.shape == (6 * h * w + 1,)
     assert x[:3 * h * w].tobytes() == \
         ref_render(obs.heights, obs.holding, obs.height_norm).tobytes()
@@ -632,7 +693,13 @@ class TestContext:
         expected = np.concatenate([
             ref_render(ws.heights, ws.holding, ws.task.height_norm).ravel(),
             ref_context(prev, h, w).ravel(), [0.0]])
-        assert stack_input(observe(ws), prev).tobytes() == expected.tobytes()
+        obs = observe(ws)
+        assert observed_input(obs, prev).tobytes() == expected.tobytes()
+        # A replay row's uint8 heights give the same floats.
+        fields = None if prev is None else action_fields(prev)
+        assert stack_input(obs.heights.astype(np.uint8), obs.holding,
+                           obs.height_norm, fields).tobytes() == \
+            expected.tobytes()
 
     def test_initial_all_zero(self):
         ctx = context_block(None, 5, 7)
@@ -662,15 +729,22 @@ class TestTarget:
     def test_target_map_scaling(self):
         rmap = tpg_reward_map(0.5, (3, 3, 0.0), RewardParams(sigma_y=1.0),
                               (9, 9))
-        targets = build_target_map(rmap, Action(Primitive.PICK, 3, 3, 0), 0.9)
+        assert (rmap.y0, rmap.x0) == (0, 0)
+        targets = build_target_map(rmap.values, 3, 3, 0.9)
         assert targets[3, 3] == pytest.approx(0.9)
         ratio = rmap.grid[3, 5] / rmap.grid[3, 3]
         assert targets[3, 5] == pytest.approx(0.9 * ratio)
 
     def test_target_map_zero_spike(self):
         rmap = spike_reward_map(0.0, (2, 2), (6, 6))
-        targets = build_target_map(rmap, Action(Primitive.PICK, 2, 2, 0), 0.7)
+        targets = build_target_map(rmap.values, 0, 0, 0.7)
         assert not targets.any()
+
+    @pytest.mark.parametrize("dy, dx", [(-1, 0), (0, -1), (2, 0), (0, 3)])
+    def test_target_map_executed_pixel_off_the_box(self, dy, dx):
+        # An offset off the box reads no value, even one that would wrap.
+        targets = build_target_map(np.ones((2, 3)), dy, dx, 0.7)
+        assert targets.shape == (2, 3) and not targets.any()
 
 
 class TestRobustLoss:
@@ -742,7 +816,7 @@ class TestTrainStep:
         rng = np.random.default_rng(0)
         tr = one_pixel_transition(rng, r_t=0.0, r_next=0.9)  # target 0, pred 0
         snap = params_snapshot(net)
-        loss, per = train_step(net, [tr], TrainHyper())
+        loss, per = train_step(net, batch_of([tr]), TrainHyper())
         assert loss == 0.0
         assert params_equal(snap, net, PRIMITIVE_ORDER)
 
@@ -752,9 +826,9 @@ class TestTrainStep:
         # enough for 50-step convergence, so the 1e-3 bound gets 200 steps.
         rng = np.random.default_rng(11)
         net = fresh_net(11)
-        tr = one_pixel_transition(rng)
+        batch = batch_of([one_pixel_transition(rng)])
         hp = TrainHyper(lr=1e-3)
-        losses = [train_step(net, [tr], hp)[0] for _ in range(200)]
+        losses = [train_step(net, batch, hp)[0] for _ in range(200)]
         first50 = losses[:50]
         assert all(b < a for a, b in zip(first50, first50[1:]))
         assert min(losses) < 1e-3
@@ -764,14 +838,14 @@ class TestTrainStep:
         rng = np.random.default_rng(1)
         tr = one_pixel_transition(rng)           # a PICK transition
         snap = params_snapshot(net)
-        train_step(net, [tr], TrainHyper())
+        train_step(net, batch_of([tr]), TrainHyper())
         assert params_equal(snap, net, [Primitive.PUSH, Primitive.PLACE])
         assert not params_equal(snap, net, [Primitive.PICK])
 
     def test_momentum_state_untouched_for_unseen_primitives(self):
         net = fresh_net(8)
         rng = np.random.default_rng(2)
-        train_step(net, [one_pixel_transition(rng)], TrainHyper())
+        train_step(net, batch_of([one_pixel_transition(rng)]), TrainHyper())
         assert net.stacks[Primitive.PICK].velocity
         assert not net.stacks[Primitive.PUSH].velocity
         assert not net.stacks[Primitive.PLACE].velocity
@@ -779,7 +853,8 @@ class TestTrainStep:
     def test_per_transition_losses_returned(self):
         net = fresh_net(9)
         rng = np.random.default_rng(3)
-        batch = [one_pixel_transition(rng), one_pixel_transition(rng, r_t=0.2)]
+        batch = batch_of([one_pixel_transition(rng),
+                          one_pixel_transition(rng, r_t=0.2)])
         mean_loss, per = train_step(net, batch, TrainHyper())
         assert per.shape == (2,)
         assert mean_loss == pytest.approx(per.mean())
@@ -790,11 +865,14 @@ class TestTrainStep:
         tr = one_pixel_transition(rng)
         net.stacks[Primitive.PICK].w1[:] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergence):
-            train_step(net, [tr], TrainHyper())
+            train_step(net, batch_of([tr]), TrainHyper())
 
     def test_empty_batch_rejected(self):
+        heights, records, boxes = batch_of(
+            [one_pixel_transition(np.random.default_rng(5))])
         with pytest.raises(ValueError):
-            train_step(fresh_net(0), [], TrainHyper())
+            train_step(fresh_net(0), (heights[:0], records[:0], boxes[:0]),
+                       TrainHyper())
 
 
 class TestGradientCheck:

@@ -1,13 +1,14 @@
 import gc
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmanip.gridsim import (Action, Observation, Primitive, TaskConfig,
-                               TaskKind)
+from gridmanip.gridsim import (Action, Observation, Primitive,
+                               PRIMITIVE_ORDER, TaskConfig, TaskKind,
+                               action_fields)
 from gridmanip.harness import RunConfig, train
 from gridmanip.replay import (PRIORITY_FLOOR, ReplayBuffer, ReplayError,
                               Transition, UnderfullError)
@@ -32,9 +33,44 @@ def filled_buffer(losses, omega=1.0, capacity=100):
     through update_priorities so that the kept rank order follows."""
     buf = ReplayBuffer(capacity=capacity, rank_exponent=omega)
     for loss in losses:
-        buf.push(make_transition())
-        buf.update_priorities([buf.items()[-1].insert_index], [loss])
+        buf.update_priorities([buf.push(make_transition())], [loss])
     return buf
+
+
+def held_ids(buf):
+    """The insert ids of every held row, oldest first."""
+    return list(range(buf._next_index - len(buf), buf._next_index))
+
+
+def _action(fields):
+    primitive, x, y, theta_index, q_value = fields
+    return Action(PRIMITIVE_ORDER[primitive], x, y, theta_index, q_value)
+
+
+def rebuilt_rows(buf, ids):
+    """The rows with these insert ids as Transitions, rebuilt from
+    ``rows(ids)``; a pending row's r_next is None."""
+    heights, records, boxes = buf.rows(ids)
+    out = []
+    for index, grid, record, box in zip(ids, heights, records.tolist(),
+                                        boxes):
+        (holding, height_norm, action, prev, has_prev, r_t, r_next,
+         (y0, x0, bh, bw)) = record
+        pending = buf.has_pending and index == buf._next_index - 1
+        out.append(Transition(
+            observation=Observation(heights=grid, holding=holding,
+                                    height_norm=height_norm),
+            prev_action=_action(prev) if has_prev else None,
+            action=_action(action), r_t=r_t,
+            reward_map=RewardMap(y0=y0, x0=x0, values=box[:bh, :bw],
+                                 shape=grid.shape),
+            r_next=None if pending else r_next))
+    return out
+
+
+def record_of(buf, index):
+    """The held row's record, read through rows."""
+    return buf.rows([index])[1][0]
 
 
 class TestPushFinalize:
@@ -52,11 +88,24 @@ class TestPushFinalize:
 
     def test_eviction_oldest_first(self):
         buf = ReplayBuffer(capacity=3)
-        items = [make_transition() for _ in range(4)]
-        for t in items:
-            buf.push(t)
+        ids = [buf.push(make_transition(r_t=0.25 * i)) for i in range(4)]
+        assert ids == [0, 1, 2, 3]
         assert len(buf) == 3
-        assert items[0].insert_index not in [t.insert_index for t in buf.items()]
+        assert [r["insert_index"] for r in buf.dump_records()] == ids[1:]
+        assert buf.rows(ids[1:])[1]["r_t"].tolist() == [0.25, 0.5, 0.75]
+        with pytest.raises(ReplayError, match="not held"):
+            buf.rows([ids[0]])
+
+    def test_rows_of_ids_not_held_rejected(self):
+        buf = ReplayBuffer(capacity=2)
+        with pytest.raises(ReplayError, match="no row"):
+            buf.rows([])
+        for _ in range(3):
+            buf.push(make_transition())
+        for bad in ([0], [1, 3], [-1]):
+            with pytest.raises(ReplayError, match="not held"):
+                buf.rows(bad)
+        assert len(buf.rows([2, 1, 2])[1]) == 3
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -85,9 +134,11 @@ class TestPushFinalize:
     def test_finalize_sets_r_next(self):
         buf = ReplayBuffer()
         t = make_transition(r_next=None)
-        buf.push(t)
+        index = buf.push(t)
+        assert np.isnan(record_of(buf, index)["r_next"])
         buf.finalize_pending(0.75)
-        assert t.r_next == 0.75
+        assert record_of(buf, index)["r_next"] == 0.75
+        assert t.r_next is None         # the pushed Transition is not written
         assert not buf.has_pending
 
     def test_finalize_without_pending_rejected(self):
@@ -113,10 +164,10 @@ class TestPushFinalize:
 
     def test_episode_end_zero_finalize(self):
         buf = ReplayBuffer()
-        t = make_transition(r_next=None)
-        buf.push(t)
+        index = buf.push(make_transition(r_next=None))
         buf.finalize_pending(0.0)
-        assert t.r_next == 0.0 and not t.pending
+        assert record_of(buf, index)["r_next"] == 0.0
+        assert not buf.has_pending and buf.sampleable_count() == 1
 
 
 class TestSampling:
@@ -124,12 +175,10 @@ class TestSampling:
         buf = ReplayBuffer()
         for _ in range(5):
             buf.push(make_transition())
-        pending = make_transition(r_next=None)
-        buf.push(pending)
+        pending = buf.push(make_transition(r_next=None))
         rng = np.random.default_rng(0)
         for _ in range(200):
-            items, _ = buf.sample(3, rng)
-            assert pending not in items
+            assert pending not in buf.sample(3, rng)
         assert buf.sampleable_count() == 5
 
     def test_underfull_raises(self):
@@ -140,8 +189,8 @@ class TestSampling:
 
     def test_exhaustive_sample_is_permutation(self):
         buf = filled_buffer([5.0, 1.0, 3.0, 2.0])
-        items, ids = buf.sample(4, np.random.default_rng(1))
-        assert sorted(ids) == sorted(t.insert_index for t in buf.items())
+        ids = buf.sample(4, np.random.default_rng(1))
+        assert sorted(ids) == held_ids(buf)
 
     def test_analytic_rank_probabilities(self):
         # priorities 5 > 3 > 1: ranks 1,2,3 -> weights 1, 1/2, 1/3
@@ -155,7 +204,7 @@ class TestSampling:
         n = 200_000
         counts = np.zeros(3)
         for _ in range(n):
-            _, ids = buf.sample(1, rng)
+            ids = buf.sample(1, rng)
             counts[ids[0]] += 1
         np.testing.assert_allclose(counts / n, [6 / 11, 2 / 11, 3 / 11],
                                    atol=0.005)
@@ -166,7 +215,7 @@ class TestSampling:
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
-            _, ids = buf.sample(1, rng)
+            ids = buf.sample(1, rng)
             counts[ids[0]] += 1
         assert np.abs(counts / n - 0.25).max() < 0.01
 
@@ -179,21 +228,19 @@ class TestSampling:
 class TestPriorities:
     def test_zero_loss_floor(self):
         buf = filled_buffer([1.0, 1.0])
-        ids = [t.insert_index for t in buf.items()]
+        ids = held_ids(buf)
         buf.update_priorities(ids, [0.0, 2.0])
         assert buf._priorities[:len(buf)].tolist() == [
             PRIORITY_FLOOR, 2.0 + PRIORITY_FLOOR]
 
     def test_negative_loss_absolute_value(self):
         buf = filled_buffer([1.0])
-        buf.update_priorities([buf.items()[0].insert_index], [-3.0])
+        buf.update_priorities([held_ids(buf)[0]], [-3.0])
         assert buf._priorities[0] == pytest.approx(3.0 + PRIORITY_FLOOR)
 
     def test_stale_index_skipped(self):
         buf = ReplayBuffer(capacity=2)
-        first = make_transition()
-        buf.push(first)
-        stale_id = first.insert_index
+        stale_id = buf.push(make_transition())
         buf.push(make_transition())
         buf.push(make_transition())              # evicts first
         buf.update_priorities([stale_id], [9.0])
@@ -201,15 +248,14 @@ class TestPriorities:
 
     def test_untouched_priorities_unchanged(self):
         buf = filled_buffer([4.0, 2.0, 1.0])
-        target = buf.items()[1]
-        buf.update_priorities([target.insert_index], [0.5])
+        buf.update_priorities([held_ids(buf)[1]], [0.5])
         assert buf._priorities[0] == 4.0 + PRIORITY_FLOOR
         assert buf._priorities[2] == 1.0 + PRIORITY_FLOOR
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_loss_rejected_before_any_change(self, bad):
         buf = filled_buffer([4.0, 2.0, 1.0])
-        ids = [t.insert_index for t in buf.items()]
+        ids = held_ids(buf)
         before = buf._priorities[:len(buf)].copy()
         probs = buf.probabilities()
         with pytest.raises(ReplayError, match="non-finite"):
@@ -219,7 +265,7 @@ class TestPriorities:
 
     def test_larger_loss_weakly_higher_rank(self):
         buf = filled_buffer([1.0, 1.0, 1.0], omega=1.0)
-        ids = [t.insert_index for t in buf.items()]
+        ids = held_ids(buf)
         buf.update_priorities(ids, [0.1, 5.0, 1.0])
         probs = buf.probabilities()
         assert probs[1] > probs[2] > probs[0]
@@ -234,7 +280,7 @@ class TestInterleaving:
                 buf.finalize_pending(float(rng.random()))
             buf.push(make_transition(r_next=None))
             if rng.random() < 0.5 and buf.sampleable_count() >= 3:
-                items, ids = buf.sample(3, rng)
+                ids = buf.sample(3, rng)
                 buf.update_priorities(ids, rng.random(3).tolist())
             assert len(buf) <= 16
             weights = buf._rank_weights(len(buf))
@@ -272,8 +318,7 @@ class TestLawCache:
 
     @pytest.mark.parametrize("pending, change", [
         (False, lambda buf: buf.push(make_transition(r_next=None))),
-        (False, lambda buf: buf.update_priorities(
-            [buf.items()[1].insert_index], [7.0])),
+        (False, lambda buf: buf.update_priorities([held_ids(buf)[1]], [7.0])),
         (True, lambda buf: buf.finalize_pending(0.5)),
     ], ids=["push", "update_priorities", "finalize_pending"])
     def test_dropped_when_the_buffer_changes(self, pending, change):
@@ -441,8 +486,9 @@ class TestListOracleEquivalence:
                                     lambda: ref.push(ListTransition(**args)),
                                     lambda: new.push(Transition(**args)))
                         break
-                    ref.push(ListTransition(**args))
-                    new.push(Transition(**args))
+                    listed = ListTransition(**args)
+                    ref.push(listed)
+                    assert new.push(Transition(**args)) == listed.insert_index
             elif op[0] == "finalize":
                 if ref.has_pending:
                     ref.finalize_pending(op[1])
@@ -456,10 +502,13 @@ class TestListOracleEquivalence:
                     _both_raise(UnderfullError, lambda: ref.sample(k, rng_ref),
                                 lambda: new.sample(k, rng_new))
                 else:
-                    _, last_ids = ref.sample(k, rng_ref)
-                    items, ids = new.sample(k, rng_new)
+                    chosen, last_ids = ref.sample(k, rng_ref)
+                    ids = new.sample(k, rng_new)
                     assert ids == last_ids
-                    assert [t.insert_index for t in items] == ids
+                    actions = new.rows(ids)[1]["action"]
+                    assert list(zip(actions["x"].tolist(),
+                                    actions["y"].tolist())) == \
+                        [(t.action.x, t.action.y) for t in chosen]
             else:
                 _, use_last, losses, stale = op
                 ids = (last_ids if use_last else []) + stale
@@ -525,7 +574,7 @@ class TestKeptOrderMatchesArgsort:
             expect = _full_cumsum_sample(
                 range(oldest, buf._next_index),
                 _argsort_rank_weights(buf._priorities, n, omega), k, ref_rng)
-            _, ids = buf.sample(k, draw_rng)
+            ids = buf.sample(k, draw_rng)
             assert ids == expect
             assert draw_rng.bit_generator.state == ref_rng.bit_generator.state
             losses = np.where(rng.random(k) < 0.8, rng.choice(tie_losses, k),
@@ -553,7 +602,6 @@ def same_action(got, want):
 def assert_same_row(got, want):
     """Field by field, floats by their bits; heights by value, since the
     buffer keeps them in a narrower dtype."""
-    assert got.insert_index == want.insert_index
     obs, expect = got.observation, want.observation
     assert obs.heights.shape == expect.heights.shape
     assert np.array_equal(obs.heights, expect.heights)
@@ -572,6 +620,36 @@ def assert_same_row(got, want):
     assert rmap.values.tobytes() == expect.values.tobytes()
 
 
+def assert_batch_entry_is(buf, batch, i, want):
+    """Entry i of a ``rows`` batch holds the pushed transition ``want``:
+    heights by bytes in the buffer's dtype, the record's fields (floats by
+    their bits) and the box's values on its own bh x bw."""
+    heights, records, boxes = batch
+    obs, record = want.observation, records[i]
+    assert heights[i].dtype == buf.height_dtype
+    assert heights[i].tobytes() == \
+        obs.heights.astype(buf.height_dtype).tobytes()
+    assert (record["holding"], record["height_norm"]) == (obs.holding,
+                                                          obs.height_norm)
+    dtype = record["action"].dtype
+    assert record["action"].tobytes() == \
+        np.array(action_fields(want.action), dtype).tobytes()
+    assert record["has_prev"] == (want.prev_action is not None)
+    if want.prev_action is not None:
+        assert record["prev_action"].tobytes() == \
+            np.array(action_fields(want.prev_action), dtype).tobytes()
+    assert record["r_t"].tobytes() == np.float64(want.r_t).tobytes()
+    if want.r_next is None:
+        assert np.isnan(record["r_next"])
+    else:
+        assert record["r_next"].tobytes() == np.float64(want.r_next).tobytes()
+    rmap = want.reward_map
+    bh, bw = rmap.values.shape
+    assert record["box"].tolist() == (rmap.y0, rmap.x0, bh, bw)
+    assert boxes[i].shape[0] >= bh and boxes[i].shape[1] >= bw
+    assert boxes[i][:bh, :bw].tobytes() == rmap.values.tobytes()
+
+
 _q_values = st.sampled_from([0.0, -0.0, 1.5, -2.25]) | st.floats(
     -1e6, 1e6, allow_nan=False)
 
@@ -584,12 +662,15 @@ def _actions(draw, h, w):
 
 
 @st.composite
-def _rows(draw, h, w, max_height):
+def _rows(draw, h, w, max_height, whole_grid_box=False):
     heights = np.array(draw(st.lists(st.integers(0, max_height),
                                      min_size=h * w, max_size=h * w)),
                        dtype=np.int64).reshape(h, w)
-    y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
-    bh, bw = draw(st.integers(1, h - y0)), draw(st.integers(1, w - x0))
+    if whole_grid_box:
+        y0, x0, bh, bw = 0, 0, h, w
+    else:
+        y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        bh, bw = draw(st.integers(1, h - y0)), draw(st.integers(1, w - x0))
     values = np.array(draw(st.lists(st.floats(0, 10), min_size=bh * bw,
                                     max_size=bh * bw))).reshape(bh, bw)
     return Transition(
@@ -609,38 +690,47 @@ class TestSlotRows:
            data=st.data())
     def test_rows_come_back_as_pushed(self, capacity, shape, max_height,
                                       seed, data):
+        # Small capacities evict. Boxes of random sizes, and "grow" rows
+        # whose box is the whole grid, grow every slot's box while earlier
+        # rows are held.
         buf = ReplayBuffer(capacity=capacity, max_height=max_height)
         rng = np.random.default_rng(seed)
-        pushed = {}
+        pushed = {}     # insert id -> the transition, with its final r_next
         last_ids = []
         for op in data.draw(st.lists(st.sampled_from(
-                ["push", "push", "finalize", "sample", "update"]),
+                ["push", "push", "grow", "finalize", "sample", "update"]),
                 min_size=1, max_size=40)):
-            if op == "push" and not buf.has_pending:
-                row = data.draw(_rows(*shape, max_height))
-                buf.push(row)
-                pushed[row.insert_index] = row
+            if op in ("push", "grow") and not buf.has_pending:
+                row = data.draw(_rows(*shape, max_height,
+                                      whole_grid_box=op == "grow"))
+                pushed[buf.push(row)] = row
             elif op == "finalize" and buf.has_pending:
-                buf.finalize_pending(data.draw(st.floats(0, 5)))
+                r_next = data.draw(st.floats(0, 5))
+                buf.finalize_pending(r_next)
+                newest = buf._next_index - 1
+                pushed[newest] = replace(pushed[newest], r_next=r_next)
             elif op == "sample" and buf.sampleable_count():
                 k = data.draw(st.integers(1, buf.sampleable_count()))
-                items, last_ids = buf.sample(k, rng)
-                for got in items:
-                    assert not got.pending
-                    assert_same_row(got, pushed[got.insert_index])
+                last_ids = buf.sample(k, rng)
+                batch = buf.rows(last_ids)
+                for i, index in enumerate(last_ids):
+                    assert pushed[index].r_next is not None
+                    assert_batch_entry_is(buf, batch, i, pushed[index])
             elif op == "update" and last_ids:
                 buf.update_priorities(last_ids, rng.random(len(last_ids)))
-            held = buf.items()
+            ids = held_ids(buf)
+            assert [r["insert_index"] for r in buf.dump_records()] == ids
+            if not ids:
+                continue
             if buf.has_pending:
-                # The newest held row (checked field by field below) is the
-                # pending one, and pending_reward reads its pushed r_t.
-                assert held[-1].pending
+                # pending_reward reads the newest held row's pushed r_t.
                 assert np.float64(buf.pending_reward()).tobytes() == \
-                    np.float64(pushed[buf._next_index - 1].r_t).tobytes()
-            assert [t.insert_index for t in held] == list(
-                range(buf._next_index - len(buf), buf._next_index))
-            for got in held:
-                assert_same_row(got, pushed[got.insert_index])
+                    np.float64(pushed[ids[-1]].r_t).tobytes()
+            batch = buf.rows(ids)
+            for i, (index, got) in enumerate(zip(ids,
+                                                 rebuilt_rows(buf, ids))):
+                assert_batch_entry_is(buf, batch, i, pushed[index])
+                assert_same_row(got, pushed[index])
 
     @pytest.mark.parametrize("max_height, dtype", [
         (4, np.uint8), (255, np.uint8), (256, np.uint16),
@@ -659,8 +749,7 @@ class TestSlotRows:
                               action=tr.action, r_t=tr.r_t, r_next=tr.r_next,
                               reward_map=spike_reward_map(0.0, (0, 0),
                                                           (1, 2)))
-        buf.push(row([top, 0]))
-        stored = buf.items()[0].observation.heights
+        stored = buf.rows([buf.push(row([top, 0]))])[0][0]
         assert stored.dtype == dtype and stored.tolist() == [[top, 0]]
         for bad in ([top + 1, 0], [0, -1]):
             with pytest.raises(ReplayError, match="outside"):
@@ -673,4 +762,4 @@ class TestSlotRows:
         buf = train(RunConfig(task=task, train_steps=12, eval_runs=1,
                               checkpoint_every=0)).replay_buffer
         assert buf.height_dtype == np.uint8
-        assert buf.items()[0].observation.heights.dtype == np.uint8
+        assert buf.rows(held_ids(buf))[0].dtype == np.uint8
