@@ -17,6 +17,9 @@ scripted 6x1 layout of tall stacks for push and pick with two rotations,
 whose ``n_blocks`` comes from the layout (60 steps, 3 runs). A default
 train/eval pair with ``replay.capacity=16`` (200 steps, 3 runs) wraps the
 replay ring many times over, so training reads evicted-and-rewritten slots.
+A default train/eval pair with ``task.rotations=8`` (100 steps, 3 runs)
+turns by 45 degrees, so rotating its maps back leaves pixels with no source
+and reads some pixels twice.
 It then prints the sha256 of every output file. BLAS is pinned to one thread.
 
 The reference (``scripts/fingerprint_ref.json``) is keyed by the numpy
@@ -79,6 +82,7 @@ EXTRA_RUNS = [
       "task.n_blocks=0", "task.allowed_primitives=push,pick",
       "task.rotations=2", "task.layout=2..3.1"]),
     ("wrap", 200, 3, ["replay.capacity=16"]),
+    ("rot8", 100, 3, ["task.rotations=8"]),
 ]
 
 

@@ -4,9 +4,10 @@ Training is strictly sequential: each step's network input depends on the
 previous action's Q prediction. Every random draw flows from named
 SeedSequence streams of the run seed, so a (config, seed) pair fully
 determines all logged numbers. Evaluation runs greedy episodes on frozen
-weights and never touches the network. Evaluation runs and ablation
-variants depend only on their own seed or variant, so ``fan_out`` may spread
-them over forked workers without changing a bit of the results.
+weights: it runs ``forward_all`` on every step but never updates a weight.
+Evaluation runs and ablation variants depend only on their own seed or
+variant, so ``fan_out`` may spread them over forked workers without changing
+a bit of the results.
 """
 
 import itertools

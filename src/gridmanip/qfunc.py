@@ -3,14 +3,16 @@
 One small convolutional stack per primitive (3x3 -> 3x3 -> 1x1, ReLU between,
 zero 'same' padding) maps the observed scene plus the previous action's
 Q prediction at its pose to an h x w Q grid. Rotations are handled by
-counter-rotating the input, running the stack, and rotating the output back;
-rotation is a cached nearest-neighbour gather, exact for multiples of 90
-degrees on square grids, so its gradient is the matching scatter-add. The
-input counter-rotation is folded into conv1's cached patch gather, which
-stacks every rotation's patch matrix so that one pass of the stack computes
-them all: each layer is one 3-D matmul, and each of its slices is the BLAS
-call a single rotation's patch matrix makes, so every map keeps its bits
-(one fused GEMM over all rotations' pixels would not).
+counter-rotating the input, running the stack, and rotating the output back,
+both by nearest-neighbour gathers (exact for multiples of 90 degrees on
+square grids) that one cached table per grid shape and rotation count
+holds (_rotation_stack). The counter-rotation is folded into conv1's patch
+gather, which stacks every rotation's patch matrix so that one pass of the
+stack computes them all: each layer is one 3-D matmul, and each of its
+slices is the BLAS call a single rotation's patch matrix makes, so every
+map keeps its bits (one fused GEMM over all rotations' pixels would not).
+The rotate-back is one gather of the Q columns, and its gradient a
+bincount through the same index.
 
 Forward, backward, the robust training loss and SGD-with-momentum are all
 explicit numpy; no autodiff anywhere.
@@ -54,18 +56,9 @@ class CheckpointError(ConfigError):
 # rotation
 
 
-_ROTATION_CACHE = {}
-
-
 def _rotation_map(h, w, theta):
-    """Cached nearest-neighbour gather for rotating an (h, w) grid by theta:
-    (flat source pixel per output pixel, valid mask or None when every pixel
-    has a source, inverse permutation or None when the map is no bijection).
-    """
-    key = (h, w, round(theta, 12))
-    hit = _ROTATION_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Nearest-neighbour gather for rotating an (h, w) grid by theta: the
+    flat source pixel of each output pixel, -1 where it has none."""
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
@@ -74,49 +67,8 @@ def _rotation_map(h, w, theta):
     # output(p) samples input at R(-theta) (p - c) + c
     sx = np.round(ct * dx + st * dy + cx)
     sy = np.round(-st * dx + ct * dy + cy)
-    valid = ((sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)).ravel()
-    flat = (np.clip(sy, 0, h - 1) * w
-            + np.clip(sx, 0, w - 1)).astype(np.intp).ravel()
-    inverse = None
-    if valid.all():
-        valid = None
-        if np.bincount(flat, minlength=h * w).max() == 1:
-            inverse = np.argsort(flat)
-    entry = (flat, valid, inverse)
-    _ROTATION_CACHE[key] = entry
-    return entry
-
-
-def rotate_grid(grid: np.ndarray, theta: float) -> np.ndarray:
-    """Rotate grid content by ``theta`` about the grid centre (NN sampling,
-    zeros outside)."""
-    h, w = grid.shape[-2:]
-    flat, valid, _ = _rotation_map(h, w, theta)
-    out = grid.reshape(-1, h * w)[:, flat]
-    if valid is not None:
-        out[:, ~valid] = 0.0
-    return out.reshape(grid.shape)
-
-
-def rotate_grid_grad(dout: np.ndarray, theta: float) -> np.ndarray:
-    """Gradient of rotate_grid: scatter-add through the same gather map.
-
-    A bijective map scatters onto each pixel exactly once, so the scatter is
-    a gather through the inverse permutation; adding 0.0 keeps the result of
-    adding into zeros, which turns -0.0 into +0.0.
-    """
-    h, w = dout.shape[-2:]
-    flat, valid, inverse = _rotation_map(h, w, theta)
-    dstack = dout.reshape(-1, h * w)
-    if inverse is not None:
-        din = dstack[:, inverse]
-        din += 0.0
-        return din.reshape(dout.shape)
-    din = np.zeros_like(dstack)
-    keep = slice(None) if valid is None else valid
-    for c in range(dstack.shape[0]):
-        np.add.at(din[c], flat[keep], dstack[c][keep])
-    return din.reshape(dout.shape)
+    valid = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
+    return np.where(valid, sy * w + sx, -1).astype(np.intp).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +81,9 @@ def rotate_grid_grad(dout: np.ndarray, theta: float) -> np.ndarray:
 # count). Every zero of the padding (and of the counter-rotation) is read
 # from a zero slot at the end of the gathered vector, so no padded copy is
 # ever made. Hidden activations stay in the GEMM's (pixels, channels) layout.
+# The Q columns get a zero slot too: the rotate-back gather reads it for
+# pixels with no source, and its bincount backward dumps their gradient
+# there, as conv2's col2im does with the padding's.
 
 
 _INDEX_CACHE = {}
@@ -146,11 +101,19 @@ def _taps(h, w, source):
 
 
 def _rotation_stack(h, w, rotations):
-    """Cached indices for all ``rotations`` of an (h, w) grid at once:
-    conv1's (rotations, h*w, IN_CHANNELS*9) gather from stack_input's vector
-    to each rotation's patch matrix of the counter-rotated input; the
-    (rotations*h*w,) gather that rotates each rotation's output column back;
-    and the flat positions of that gather's out-of-grid pixels, or None."""
+    """The network's one rotation table, cached per grid shape and rotation
+    count: (index, back).
+
+    ``index`` is conv1's (rotations, h*w, IN_CHANNELS*9) gather from
+    stack_input's vector to each rotation's patch matrix of the
+    counter-rotated input. ``back`` (rotations, h*w) rotates the Q columns
+    back: ConvStack.forward lays them out with a zero slot after each, so
+    column r starts at r * (h*w + 1), and ``back[r]`` reads column r, each
+    pixel with no source reading its zero slot. One gather through ``back``
+    rotates every map back; the backward of row r is np.bincount through
+    ``back[r] - r * (h*w + 1)``, whose last bin, the zero slot, takes the
+    gradient of the pixels with no source.
+    """
     key = ("rotations", h, w, rotations)
     hit = _INDEX_CACHE.get(key)
     if hit is None:
@@ -158,20 +121,14 @@ def _rotation_stack(h, w, rotations):
         channel = np.arange(IN_CHANNELS)[:, None] * hw
         index = np.empty((rotations, hw, IN_CHANNELS * 9), dtype=np.intp)
         back = np.empty((rotations, hw), dtype=np.intp)
-        outside = np.zeros((rotations, hw), dtype=bool)
         for r in range(rotations):
             theta = theta_radians(r, rotations)
-            flat, valid, _ = _rotation_map(h, w, -theta)
-            source = flat if valid is None else np.where(valid, flat, -1)
-            taps = _taps(h, w, source)[:, None, :]
+            taps = _taps(h, w, _rotation_map(h, w, -theta))[:, None, :]
             index[r] = np.where(taps >= 0, channel + taps,
                                 IN_CHANNELS * hw).reshape(hw, -1)
-            flat, valid, _ = _rotation_map(h, w, theta)
-            back[r] = flat + r * hw
-            if valid is not None:
-                outside[r] = ~valid
-        zero = np.flatnonzero(outside) if outside.any() else None
-        hit = (index, back.ravel(), zero)
+            source = _rotation_map(h, w, theta)
+            back[r] = np.where(source >= 0, source, hw) + r * (hw + 1)
+        hit = (index, back)
         _INDEX_CACHE[key] = hit
     return hit
 
@@ -231,7 +188,8 @@ class ConvStack:
 
     def forward(self, p1, shape):
         """A stack of g conv1 patch matrices (g, h*w, IN_CHANNELS*9) ->
-        ((g, h*w, 1) Q columns, cache (a1, p1, a2, p2) for backward).
+        ((g, h*w + 1) Q columns, each followed by a zero slot for the
+        rotate-back gather; cache (a1, p1, a2, p2) for backward).
 
         Each layer is one 3-D matmul, and each of its g slices is the BLAS
         call of that slice's 2-D GEMM, so a slice's Q column has the bits of
@@ -252,8 +210,8 @@ class ConvStack:
         a2 = p2 @ self.w2.reshape(c, -1).T
         a2 += self.b2
         np.maximum(a2, 0.0, out=a2)     # conv3's 1x1 patch matrix
-        q = a2 @ self.w3.reshape(1, -1).T
-        q += self.b3
+        q = np.zeros((g, hw + 1))
+        np.add(a2 @ self.w3.reshape(1, -1).T, self.b3, out=q[:, :hw, None])
         return q, (a1, p1, a2, p2)
 
     def backward(self, cache, dq, grads):
@@ -352,13 +310,15 @@ def forward_rotation(net: QNetwork, x: np.ndarray, shape, primitive: Primitive,
                      theta_index: int):
     """Q grid for one rotation of the flat input ``x`` (see stack_input) on
     an ``shape`` grid, the stack's forward cache of that one rotation, and
-    its angle: a one-slice stacked pass, its output rotated back."""
-    theta = theta_radians(theta_index, net.rotations)
-    index = _rotation_stack(*shape, net.rotations)[0]
+    the rotate-back gather of its one Q column (its row of ``back`` in
+    _rotation_stack, moved to column 0): a one-slice stacked pass, its
+    output rotated back."""
+    index, back = _rotation_stack(*shape, net.rotations)
     q, cache = net.stacks[primitive].forward(
         x[index[theta_index:theta_index + 1]], shape)
     cache = tuple(a[0] for a in cache)
-    return rotate_grid(q.reshape(shape), theta), cache, theta
+    column = back[theta_index] - theta_index * q.shape[1]
+    return q[0][column].reshape(shape), cache, column
 
 
 def forward_all(net: QNetwork, obs, prev_action, primitives) -> dict:
@@ -367,18 +327,16 @@ def forward_all(net: QNetwork, obs, prev_action, primitives) -> dict:
     conv1's patch matrices of every rotation are gathered once and shared by
     the primitives; each primitive's maps take one stacked pass of its
     stack, whose every rotation has the bits of a ``forward_one`` of it, and
-    one gather rotates them all back.
+    one gather through ``back`` rotates them all back.
     """
     (h, w), g = obs.shape, net.rotations
-    index, back, zero = _rotation_stack(h, w, g)
+    index, back = _rotation_stack(h, w, g)
     p1 = _observed_input(obs, prev_action)[index]
     maps = {}
     for prim in primitives:
         # [0] drops the forward cache at once: no backward reads it.
-        q = net.stacks[prim].forward(p1, obs.shape)[0].ravel()[back]
-        if zero is not None:
-            q[zero] = 0.0
-        maps[prim] = q.reshape(g, h, w)
+        q = net.stacks[prim].forward(p1, obs.shape)[0]
+        maps[prim] = q.ravel()[back].reshape(g, h, w)
     return maps
 
 
@@ -475,26 +433,33 @@ def transition_loss(net: QNetwork, heights, row, box, hp: TrainHyper):
     index, ax, ay, theta_index, _ = action
     primitive = PRIMITIVE_ORDER[index]
     x = stack_input(heights, holding, height_norm, prev if has_prev else None)
-    pred, cache, theta = forward_rotation(net, x, heights.shape, primitive,
-                                          theta_index)
+    pred, cache, column = forward_rotation(net, x, heights.shape, primitive,
+                                           theta_index)
     y = compute_target(r_t, r_next, hp.gamma)
     targets = build_target_map(box[:bh, :bw], ay - y0, ax - x0, y)
     window = slice(y0, y0 + bh), slice(x0, x0 + bw)
     residuals = (pred[window] - targets).ravel()
     losses, dresiduals = robust_loss(residuals, hp.loss_alpha, hp.loss_scale)
-    return losses, (primitive, pred, cache, theta, window, dresiduals)
+    return losses, (primitive, pred, cache, column, window, dresiduals)
 
 
 def transition_backward(net: QNetwork, saved, grads, batch_size=1):
     """Accumulate the gradient of a row's mean loss, divided by
     ``batch_size``, into ``grads`` for the executed primitive's stack;
-    ``saved`` is what ``transition_loss`` returned for the row."""
-    primitive, pred, cache, theta, window, dresiduals = saved
+    ``saved`` is what ``transition_loss`` returned for the row.
+
+    The rotate-back's backward is a bincount through its gather. bincount
+    adds each bin's terms in pixel order onto +0.0, as a scatter-add into
+    zeros does (so -0.0 comes back +0.0), and its last bin, the column's
+    zero slot, takes the gradient of the pixels with no source.
+    """
+    primitive, pred, cache, column, window, dresiduals = saved
     dpred = np.zeros_like(pred)
     dbox = dpred[window]
     dbox.flat = dresiduals / (dresiduals.size * batch_size)
-    net.stacks[primitive].backward(cache, rotate_grid_grad(dpred, theta),
-                                   grads)
+    dq = np.bincount(column, weights=dpred.ravel(),
+                     minlength=column.size + 1)[:-1].reshape(pred.shape)
+    net.stacks[primitive].backward(cache, dq, grads)
 
 
 def train_step(net: QNetwork, batch, hp: TrainHyper):

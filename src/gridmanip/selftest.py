@@ -127,14 +127,17 @@ def gradient_check(n_draws=100, coords_per_draw=40, h=6, w=6, seed=20240502,
     checked = skipped = 0
     for draw in range(n_draws):
         # Draw 0 probes every coordinate of the full-width stack; later draws
-        # spread sampled coordinates over narrow stacks for speed.
+        # spread sampled coordinates over narrow stacks for speed. Odd draws
+        # take 8 rotations, whose 45-degree rotate-back leaves pixels with
+        # no source and reads some pixels twice.
         hidden = 16 if (exhaustive_first and draw == 0) else 4
-        net = QNetwork.init(rng, hidden_channels=hidden, rotations=4)
+        rotations = 8 if draw % 2 else 4
+        net = QNetwork.init(rng, hidden_channels=hidden, rotations=rotations)
         # The transition as training reads it: pushed into a replay
         # buffer, and its row read back.
         buffer = ReplayBuffer(capacity=1)
-        heights, records, boxes = buffer.rows(
-            [buffer.push(random_transition(rng, h=h, w=w))])
+        heights, records, boxes = buffer.rows([buffer.push(
+            random_transition(rng, h=h, w=w, rotations=rotations))])
         row = heights[0], records.tolist()[0], boxes[0]
         saved = transition_loss(net, *row, hp)[1]
         grads = {}      # analytic dLoss/dparams; no update is applied

@@ -15,8 +15,8 @@ from gridmanip.qfunc import (CHECKPOINT_VERSION, CheckpointError, IN_CHANNELS,
                              build_target_map, compute_target, forward_all,
                              forward_one, forward_rotation, load_checkpoint,
                              meta_path,
-                             read_checkpoint_header, robust_loss, rotate_grid,
-                             rotate_grid_grad, save_checkpoint, stack_input,
+                             read_checkpoint_header, robust_loss,
+                             save_checkpoint, stack_input,
                              train_step, transition_backward, transition_loss)
 from gridmanip.replay import ReplayBuffer, Transition
 from gridmanip.reward import RewardParams, spike_reward_map, tpg_reward_map
@@ -207,11 +207,13 @@ def row_of(transition):
 def ref_transition_grads(net, tr, hp, batch_size):
     """transition_loss and transition_backward on the full grid: targets and
     gradient over every pixel, the supervised ones picked by a boolean mask,
-    through the network code under test."""
+    through the network code under test and the reference rotation
+    gradient."""
     x = observed_input(tr.observation, tr.prev_action)
-    pred, cache, theta = forward_rotation(net, x, tr.observation.shape,
-                                          tr.action.primitive,
-                                          tr.action.theta_index)
+    pred, cache, _ = forward_rotation(net, x, tr.observation.shape,
+                                      tr.action.primitive,
+                                      tr.action.theta_index)
+    theta = theta_radians(tr.action.theta_index, net.rotations)
     y = compute_target(tr.r_t, tr.r_next, hp.gamma)
     targets = ref_target_map(tr.reward_map, tr.action, y)
     mask = supervised_mask(tr.reward_map)
@@ -221,7 +223,7 @@ def ref_transition_grads(net, tr, hp, batch_size):
     dpred[mask] = dresiduals / (dresiduals.size * batch_size)
     grads = {}
     net.stacks[tr.action.primitive].backward(
-        cache, rotate_grid_grad(dpred, theta), grads)
+        cache, ref_rotate_grid_grad(dpred, theta), grads)
     return losses, grads
 
 
@@ -338,38 +340,78 @@ def params_equal(snap, net, prims):
                for p in prims for k in snap[p])
 
 
+def signed_grids(rng, n, h, w):
+    """n random (h, w) grids, about 30 % of whose pixels are -0.0."""
+    grids = rng.normal(size=(n, h, w))
+    grids[rng.random(grids.shape) < 0.3] = -0.0
+    return grids
+
+
+def column_gathers(h, w, rotations):
+    """Each row of _rotation_stack's ``back`` moved to column 0, as
+    forward_rotation reads one Q column and transition_backward scatters."""
+    back = qfunc._rotation_stack(h, w, rotations)[1]
+    return back - np.arange(rotations)[:, None] * (h * w + 1)
+
+
+def rotate_back_scatter(column, dout):
+    """The rotate-back's backward as transition_backward makes it: bincount
+    through one rotation's column gather, the zero slot's bin dropped."""
+    return np.bincount(column, weights=dout.ravel(),
+                       minlength=column.size + 1)[:-1].reshape(dout.shape)
+
+
 class TestRotation:
+    """The rotate-back half of _rotation_stack, the network's one rotation
+    table, against the reference rotation and its scatter-add gradient."""
+
     @pytest.mark.parametrize("n", [4, 6, 7, 10])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_quarter_turns_are_exact_permutations(self, n, k):
-        rng = np.random.default_rng(n * 10 + k)
-        grid = rng.normal(size=(n, n))
-        theta = k * math.pi / 2
-        rotated = rotate_grid(grid, theta)
-        assert sorted(rotated.ravel()) == sorted(grid.ravel())
-        back = rotate_grid(rotated, -theta)
-        np.testing.assert_array_equal(back, grid)
+        # The quarter turn k of an n x n grid, at 4 and 8 rotations, reads
+        # every pixel once and is undone by the turn back.
+        for rotations in (4, 8):
+            r = k * rotations // 4
+            columns = column_gathers(n, n, rotations)
+            identity = np.arange(n * n)
+            assert np.sort(columns[r]).tobytes() == identity.tobytes()
+            undo = columns[(rotations - r) % rotations]
+            assert columns[r][undo].tobytes() == identity.tobytes()
 
-    def test_zero_rotation_identity(self):
-        grid = np.arange(16.0).reshape(4, 4)
-        np.testing.assert_array_equal(rotate_grid(grid, 0.0), grid)
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes)
+    def test_zero_rotation_identity(self, shape):
+        h, w, rotations = shape
+        assert column_gathers(h, w, rotations)[0].tobytes() == \
+            np.arange(h * w).tobytes()
 
-    def test_stacked_channels(self):
-        rng = np.random.default_rng(3)
-        stack = rng.normal(size=(5, 6, 6))
-        rot = rotate_grid(stack, math.pi / 2)
-        for c in range(5):
-            np.testing.assert_array_equal(rot[c],
-                                          rotate_grid(stack[c], math.pi / 2))
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes, seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_channels(self, shape, seed):
+        # The one stacked gather forward_all makes, each column followed by
+        # its zero slot, against each column rotated by the reference.
+        h, w, rotations = shape
+        back = qfunc._rotation_stack(h, w, rotations)[1]
+        assert back.shape == (rotations, h * w)
+        grids = signed_grids(np.random.default_rng(seed), rotations, h, w)
+        columns = np.zeros((rotations, h * w + 1))
+        columns[:, :-1] = grids.reshape(rotations, -1)
+        out = columns.ravel()[back]
+        for r in range(rotations):
+            theta = theta_radians(r, rotations)
+            assert out[r].tobytes() == \
+                ref_rotate_grid(grids[r], theta).ravel().tobytes()
 
-    def test_gather_scatter_adjoint(self):
-        # <rotate(x), y> == <x, rotate_grad(y)> for any theta
-        rng = np.random.default_rng(8)
-        for theta in (0.3, math.pi / 2, 2.2):
-            x = rng.normal(size=(7, 7))
-            y = rng.normal(size=(7, 7))
-            lhs = float((rotate_grid(x, theta) * y).sum())
-            rhs = float((x * rotate_grid_grad(y, theta)).sum())
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes, seed=st.integers(0, 2 ** 32 - 1))
+    def test_gather_scatter_adjoint(self, shape, seed):
+        # <rotate_back(x), y> == <x, scatter(y)> for every rotation.
+        h, w, rotations = shape
+        rng = np.random.default_rng(seed)
+        for column in column_gathers(h, w, rotations):
+            x, y = rng.normal(size=(2, h * w))
+            lhs = float((np.append(x, 0.0)[column] * y).sum())
+            rhs = float((x * rotate_back_scatter(column, y)).sum())
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -439,9 +481,11 @@ class TestReferenceOracle:
         flat = np.append(x.ravel(), 0.0)
         for prim in PRIMITIVE_ORDER:
             for r in range(rotations):
-                q = forward_rotation(net, flat, (h, w), prim, r)[0]
+                q, _, column = forward_rotation(net, flat, (h, w), prim, r)
                 assert q.tobytes() == \
                     ref_forward_rotation(ref_net, x, prim, r)[0].tobytes()
+                assert column.tobytes() == \
+                    column_gathers(h, w, rotations)[r].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(shape=oracle_shapes, hidden=st.integers(1, 16),
@@ -527,21 +571,23 @@ class TestReferenceOracle:
             assert g.tobytes() == ref_grads[name].tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(shape=oracle_shapes, theta_index=st.integers(0, 7),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_rotation_grad_bitwise_equal(self, shape, theta_index, seed):
+    @given(shape=oracle_shapes, seed=st.integers(0, 2 ** 32 - 1))
+    def test_rotation_grad_bitwise_equal(self, shape, seed):
+        # transition_backward's bincount against the reference's np.add.at,
+        # for every rotation: the same sums in the same order onto +0.0, and
+        # the zero slot's bin takes the pixels with no source.
         h, w, rotations = shape
-        rng = np.random.default_rng(seed)
-        dout = rng.normal(size=(2, h, w))
-        dout[rng.random((2, h, w)) < 0.3] = -0.0
-        theta = theta_radians(theta_index % rotations, rotations)
-        assert rotate_grid_grad(dout, theta).tobytes() == \
-            ref_rotate_grid_grad(dout, theta).tobytes()
+        douts = signed_grids(np.random.default_rng(seed), rotations, h, w)
+        for r, column in enumerate(column_gathers(h, w, rotations)):
+            din = rotate_back_scatter(column, douts[r])
+            ref = ref_rotate_grid_grad(douts[r], theta_radians(r, rotations))
+            assert din.tobytes() == ref.tobytes()
+            assert not np.signbit(din[din == 0.0]).any()
 
     def test_rotation_grad_turns_negative_zero_positive(self):
         dout = np.full((4, 4), -0.0)
         dout[1, 2] = -1.5
-        din = rotate_grid_grad(dout, math.pi / 2)
+        din = rotate_back_scatter(column_gathers(4, 4, 4)[1], dout)
         assert din.tobytes() == ref_rotate_grid_grad(dout, math.pi / 2).tobytes()
         assert not np.signbit(din[din == 0.0]).any()
         assert (din == -1.5).sum() == 1
@@ -621,7 +667,7 @@ class TestForward:
         obs = Observation(heights=sym, holding=True, height_norm=3)
         maps = forward(net, obs, None, Primitive.PUSH)
         for r in range(1, 4):
-            expected = rotate_grid(maps[0], r * math.pi / 2)
+            expected = ref_rotate_grid(maps[0], r * math.pi / 2)
             np.testing.assert_allclose(maps[r], expected, atol=1e-12)
 
     def test_forward_deterministic(self):
