@@ -8,13 +8,12 @@
 Runs, in a temporary directory and from the ``src/`` of this checkout:
 ``gridmanip train --dump-replay`` on ``configs/default.ini``, ``gridmanip
 eval`` on the checkpoint it wrote, and ``gridmanip ablate`` with
-``run.train_steps=60 run.eval_runs=3``. Two more train/eval pairs cover the
-other branches of the episode loop: push/pick clutter removal (60 steps, 3
-runs), a scripted 4x1 push-only layout whose every episode ends in a dead
-end with no valid action (40 steps, 3 runs), 6x6 stacking to height 3 with
-push, pick and place, which pushes whole stacks (120 steps, 3 runs), and a
-scripted 6x1 layout of tall stacks for push and pick with two rotations,
-whose ``n_blocks`` comes from the layout (60 steps, 3 runs). A default
+``run.train_steps=60 run.eval_runs=3``. Three more train/eval pairs cover
+the other task kinds and primitive sets: push/pick clutter removal (60
+steps, 3 runs), 6x6 stacking to height 3 with push, pick and place, which
+pushes whole stacks (120 steps, 3 runs), and a scripted 6x1 layout of tall
+stacks for push and pick with two rotations, whose ``n_blocks`` comes from
+the layout (60 steps, 3 runs). A default
 train/eval pair with ``replay.capacity=16`` (200 steps, 3 runs) wraps the
 replay ring many times over, so training reads evicted-and-rewritten slots.
 A default train/eval pair with ``task.rotations=8`` (100 steps, 3 runs)
@@ -70,10 +69,6 @@ def environment_key():
 EXTRA_RUNS = [
     ("clutter", 60, 3,
      ["task.kind=clutter_removal", "task.allowed_primitives=push,pick"]),
-    ("dead_end", 40, 3,
-     ["task.kind=scripted_arrangement", "task.width=4", "task.height=1",
-      "task.n_blocks=0", "task.allowed_primitives=push", "task.rotations=1",
-      "task.layout=1..."]),
     ("stack3", 120, 3,
      ["task.width=6", "task.height=6", "task.goal_stack_height=3",
       "task.allowed_primitives=push,pick,place"]),

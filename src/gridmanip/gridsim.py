@@ -97,12 +97,19 @@ class TaskConfig:
         # Canonical: each primitive once, in PRIMITIVE_ORDER.
         object.__setattr__(self, "allowed_primitives",
                            tuple(p for p in PRIMITIVE_ORDER if p in allowed))
-        if not self.allowed_primitives:
-            raise ConfigError("allowed_primitives must be nonempty")
-        if self.allowed_primitives == (Primitive.PLACE,):
+        # Only pick removes a block and only place raises a stack, so each
+        # kind's goal needs these. With pick allowed some pose is always
+        # valid: until the goal, a removal task has a block on the grid, and
+        # a stacking task holds at most one of its two or more blocks.
+        needed = ((Primitive.PICK, Primitive.PLACE)
+                  if self.kind is TaskKind.BLOCK_STACKING else (Primitive.PICK,))
+        missing = [p.value for p in needed if p not in self.allowed_primitives]
+        if missing:
             raise ConfigError(
-                "task.allowed_primitives=place can never act: every task "
-                "starts with an empty gripper; allow push or pick too")
+                "task.allowed_primitives="
+                f"{','.join(p.value for p in self.allowed_primitives)} lacks "
+                f"{' and '.join(missing)}, without which task.kind="
+                f"{self.kind.value} can never reach its goal")
         if self.width < 1 or self.height < 1:
             raise ConfigError("grid dimensions must be positive")
         if self.rotations < 1:
@@ -146,27 +153,10 @@ class TaskConfig:
             raise ConfigError(
                 "goal_stack_height must lie in [2, n_blocks], got "
                 f"{self.goal_stack_height} with n_blocks={self.n_blocks}")
-        if Primitive.PICK not in self.allowed_primitives \
-                and not self._can_push():
-            raise ConfigError(
-                "task.allowed_primitives="
-                f"{','.join(p.value for p in self.allowed_primitives)} can "
-                "never act: no reset of this task leaves a block a free cell "
-                "to be pushed to; allow pick too")
-        if self.max_steps <= 0:
+        check_value("task.max_steps", self.max_steps, self.max_steps >= 0,
+                    ">= 0 (0: 8 x task.n_blocks)")
+        if self.max_steps == 0:
             object.__setattr__(self, "max_steps", 8 * self.n_blocks)
-
-    def _can_push(self):
-        """Whether some reset has a valid push: the scripted layout's own,
-        or some random drop that leaves a cell free along a push direction
-        that fits on the grid."""
-        if self.layout_heights is not None:
-            ws = Workspace(heights=self.layout_heights, task=self)
-            return bool(valid_action_mask(ws, Primitive.PUSH).any())
-        return self.n_blocks < self.width * self.height and any(
-            abs(dx) < self.width and abs(dy) < self.height
-            for dx, dy in (push_direction(r, self.rotations)
-                           for r in range(self.rotations)))
 
     @property
     def height_norm(self):

@@ -93,6 +93,7 @@ class RunConfig:
                     self.hidden_channels >= 1, ">= 1")
         check_value("replay.rank_exponent", self.rank_exponent,
                     0 <= self.rank_exponent < math.inf, "finite and >= 0")
+        check_value("run.seed", self.seed, self.seed >= 0, ">= 0")
         check_value("run.window", self.window, self.window >= 1, ">= 1")
         check_value("run.checkpoint_every", self.checkpoint_every,
                     self.checkpoint_every >= 0,
@@ -210,8 +211,10 @@ def _play(net, task: TaskConfig, seeds, choose):
     valid pose, ``q_one(primitive, r)`` one rotation of one primitive's.
     Yields ``(ws, obs, prev, progress, action, result)``, where obs, the
     previous action ``prev`` (None at the episode's start) and progress are
-    what the action was chosen from. A dead end (no valid pose, or ``choose``
-    returns None) yields ``action = result = None`` and ends the episode.
+    what the action was chosen from. ``TaskConfig`` admits only tasks that
+    allow pick, so some pose is valid at every step; when ``choose`` still
+    returns None (greedy evaluation over NaN Q maps), the step yields
+    ``action = result = None`` and ends the episode.
     """
     for seed in seeds:
         ws, obs = gridsim.reset(task, seed)
@@ -220,9 +223,8 @@ def _play(net, task: TaskConfig, seeds, choose):
         while True:
             masks = {p: valid_action_mask(ws, p) for p in task.allowed_primitives}
             actable = [p for p, m in masks.items() if m.any()]
-            action = (choose(ws, partial(forward_all, net, obs, prev, actable),
-                             partial(forward_one, net, obs, prev), masks)
-                      if actable else None)
+            action = choose(ws, partial(forward_all, net, obs, prev, actable),
+                            partial(forward_one, net, obs, prev), masks)
             result = None if action is None else gridsim.step(ws, action)
             yield ws, obs, prev, progress, action, result
             if result is None or result.done:
@@ -253,7 +255,9 @@ def _exploration(cfg, lae, step_i):
 
 
 def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
-    """Run the training loop for cfg.train_steps actions.
+    """Run the training loop for cfg.train_steps actions. Every step acts:
+    the task allows pick, so some pose is always valid, and an epsilon draw
+    or an argmax over finite Q maps always finds it.
 
     ``checkpoint_cb(step, net)``, when given, is invoked every
     cfg.checkpoint_every steps (the CLI uses it to write checkpoint files).
@@ -278,16 +282,6 @@ def train(cfg: RunConfig, checkpoint_cb=None) -> TrainReport:
     while step_i < cfg.train_steps:
         eps = _exploration(cfg, lae, step_i)
         ws, obs, prev, prev_progress, action, result = next(steps)
-        if action is None:
-            # Dead end, mid-episode or at a reset: drop the episode. TaskConfig
-            # rejects a task on which no reset can act, so a fresh reset
-            # eventually can.
-            if buffer.has_pending:
-                buffer.finalize_pending(0.0)
-            episodes.append(EpisodeSummary(step_i, ws.step_count,
-                                           "no_valid_action"))
-            continue
-
         r_tp, rmap = _reward_for_step(cfg, action, result.primitive_success,
                                       result.progress, prev_progress, shape)
         y_target = None

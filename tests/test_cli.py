@@ -327,9 +327,16 @@ class TestTrainCommand:
         ("task.kind=clutter_removal task.n_blocks=-1", "task.n_blocks=-1"),
         ("task.allowed_primitives=place", "task.allowed_primitives"),
         (f"{SCRIPTED_4X1} task.allowed_primitives=push task.layout=...1",
-         "can never act"),
+         "task.allowed_primitives=push lacks pick"),
         ("task.kind=clutter_removal task.width=2 task.height=2 "
-         "task.n_blocks=4 task.allowed_primitives=push", "can never act"),
+         "task.n_blocks=4 task.allowed_primitives=push",
+         "task.allowed_primitives=push lacks pick"),
+        ("task.kind=clutter_removal task.allowed_primitives=push,place",
+         "task.allowed_primitives=push,place lacks pick"),
+        ("task.allowed_primitives=pick", "task.allowed_primitives=pick lacks "
+         "place, without which task.kind=block_stacking"),
+        ("run.seed=-1", "run.seed=-1"),
+        ("task.max_steps=-1", "task.max_steps=-1"),
     ])
     def test_bad_run_config_exit_one_before_work(self, tiny_cfg, tmp_path,
                                                  capsys, override, named):

@@ -1,4 +1,7 @@
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -16,6 +19,25 @@ def scene_channels(ws):
     obs = gridsim.observe(ws)
     x = stack_input(obs.heights, obs.holding, obs.height_norm, None)
     return x[:3 * h * w].reshape(3, h, w)
+
+
+# Every non-empty set of primitives, in PRIMITIVE_ORDER.
+PRIMITIVE_SUBSETS = [prims for size in (1, 2, 3)
+                     for prims in itertools.combinations(PRIMITIVE_ORDER, size)]
+# What each kind's goal needs: only pick removes a block, and only place
+# raises a stack.
+GOAL_PRIMITIVES = {
+    TaskKind.CLUTTER_REMOVAL: {Primitive.PICK},
+    TaskKind.BLOCK_STACKING: {Primitive.PICK, Primitive.PLACE},
+    TaskKind.SCRIPTED_ARRANGEMENT: {Primitive.PICK},
+}
+# A 4x4 task of each kind, less its primitives.
+KIND_FIELDS = {
+    TaskKind.CLUTTER_REMOVAL: dict(n_blocks=3),
+    TaskKind.BLOCK_STACKING: dict(n_blocks=3, goal_stack_height=2),
+    TaskKind.SCRIPTED_ARRANGEMENT: dict(n_blocks=0,
+                                        layout="1...\n....\n..2.\n...."),
+}
 
 
 def clutter_task(n=10, width=14, height=14, **kw):
@@ -68,10 +90,35 @@ class TestReset:
         for make in (clutter_task, stacking_task):
             with pytest.raises(ConfigError, match="task.allowed_primitives"):
                 make(allowed_primitives=(Primitive.PLACE,))
-        clutter_task(allowed_primitives=(Primitive.PUSH, Primitive.PLACE))
+        # Place never removes a block, so push and place cannot clear one.
+        with pytest.raises(ConfigError, match="=push,place lacks pick"):
+            clutter_task(allowed_primitives=(Primitive.PUSH, Primitive.PLACE))
+
+    @pytest.mark.parametrize("prims", PRIMITIVE_SUBSETS,
+                             ids=lambda prims: ",".join(p.value for p in prims))
+    @pytest.mark.parametrize("kind", TaskKind, ids=lambda kind: kind.value)
+    def test_task_builds_exactly_when_its_goal_is_reachable(self, kind, prims):
+        fields = dict(kind=kind, allowed_primitives=prims, width=4, height=4,
+                      **KIND_FIELDS[kind])
+        missing = [p.value for p in PRIMITIVE_ORDER
+                   if p in GOAL_PRIMITIVES[kind] and p not in prims]
+        if not missing:
+            assert TaskConfig(**fields).allowed_primitives == prims
+            return
+        with pytest.raises(ConfigError) as raised:
+            TaskConfig(**fields)
+        given = ",".join(p.value for p in prims)
+        assert (f"task.allowed_primitives={given} lacks "
+                f"{' and '.join(missing)}") in str(raised.value)
+        assert f"task.kind={kind.value}" in str(raised.value)
 
     def test_max_steps_defaults_to_eight_per_block(self):
         assert clutter_task(n=10).max_steps == 80
+
+    def test_max_steps_below_zero_rejected(self):
+        with pytest.raises(ConfigError, match="task.max_steps=-1"):
+            clutter_task(max_steps=-1)
+        assert replace(clutter_task(n=10), max_steps=4).max_steps == 4
 
     def test_kind_must_be_a_task_kind(self):
         # A bare string would skip the goal check and run clutter rules.
@@ -108,9 +155,9 @@ class TestReset:
                                        (Primitive.PUSH, Primitive.PLACE)],
                              ids=["push", "push_place"])
     def test_push_without_pick_that_never_acts_rejected(self, task, prims):
-        with pytest.raises(ConfigError, match="can never act"):
+        # Without pick no block is ever removed, whether or not a push fits.
+        with pytest.raises(ConfigError, match="lacks pick"):
             TaskConfig(**task, allowed_primitives=prims)
-        # With pick allowed too, every reset can act.
         TaskConfig(**task, allowed_primitives=prims + (Primitive.PICK,))
 
 
@@ -548,20 +595,17 @@ class TestMaskLoopOracle:
 
 
 @st.composite
-def episodes(draw):
-    """A random task of any kind, and actions that reach every cell, one
-    step off the grid and one rotation out of range, with every primitive,
-    including those the task does not allow."""
+def tasks(draw):
+    """A random task of any kind that builds: its primitives are those its
+    goal needs plus any others."""
     h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     kind = draw(st.sampled_from(TaskKind))
     rotations = draw(st.sampled_from([1, 2, 4, 8]))
     if rotations not in (1, 2):
         w = h           # a task that turns by 90 degrees has a square grid
     common = dict(width=w, height=h, rotations=rotations,
-                  # Place alone can never act, so no task offers it alone.
-                  allowed_primitives=draw(st.sets(
-                      st.sampled_from(PRIMITIVE_ORDER), min_size=1).filter(
-                          lambda prims: prims != {Primitive.PLACE})),
+                  allowed_primitives=GOAL_PRIMITIVES[kind] | draw(
+                      st.sets(st.sampled_from(PRIMITIVE_ORDER))),
                   push_distance=draw(st.integers(1, 3)),
                   fail_limit=draw(st.integers(1, 12)),
                   max_steps=draw(st.integers(0, 30)))
@@ -577,11 +621,16 @@ def episodes(draw):
         n = draw(st.integers(low, h * w))
         goal = draw(st.integers(2, n)) if low == 2 else 0
         fields = dict(n_blocks=n, goal_stack_height=goal)
-    try:
-        task = TaskConfig(kind=kind, **fields, **common)
-    except ConfigError:
-        # Without pick, a task on which no reset can push can never act.
-        assume(False)
+    return TaskConfig(kind=kind, **fields, **common)
+
+
+@st.composite
+def episodes(draw):
+    """A random task, and actions that reach every cell, one step off the
+    grid and one rotation out of range, with every primitive, including
+    those the task does not allow."""
+    task = draw(tasks())
+    h, w, rotations = task.height, task.width, task.rotations
     actions = draw(st.lists(st.builds(
         Action, st.sampled_from(Primitive), st.integers(-1, w),
         st.integers(-1, h), st.integers(-1, rotations)), max_size=40))
@@ -609,5 +658,22 @@ class TestSimulatorInvariants:
                 # A pick with an empty gripper succeeds exactly where the
                 # mask says it is valid.
                 assert res.primitive_success == pick_mask[action.y, action.x]
+            if res.done:
+                break
+
+    @given(task=tasks(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_mask_valid_play_always_has_an_action(self, task, seed):
+        # Every task that builds offers a valid pose at every step until its
+        # episode ends, so the episode loop needs no dead-end path.
+        rng = np.random.default_rng(seed)
+        ws, _ = gridsim.reset(task, seed)
+        while True:
+            poses = [(prim, y, x) for prim in task.allowed_primitives
+                     for y, x in np.argwhere(
+                         gridsim.valid_action_mask(ws, prim))]
+            assert poses, "no valid pose before the episode ended"
+            prim, y, x = poses[int(rng.integers(len(poses)))]
+            res = gridsim.step(ws, Action(prim, int(x), int(y), int(
+                rng.integers(task.rotations))))
             if res.done:
                 break

@@ -13,10 +13,9 @@ import pytest
 from gridmanip import harness
 from gridmanip.gridsim import (Action, ConfigError, Primitive, TaskConfig,
                                TaskKind)
-from gridmanip.harness import (ABLATION_VARIANTS, EpisodeSummary, RunConfig,
-                               derive_seed, evaluate, fan_out,
-                               ideal_actions, run_ablation, train,
-                               variant_config)
+from gridmanip.harness import (ABLATION_VARIANTS, RunConfig, derive_seed,
+                               evaluate, fan_out, ideal_actions, run_ablation,
+                               train, variant_config)
 from gridmanip.qfunc import (QNetwork, TrainHyper, TrainingDivergence,
                              build_target_map, compute_target, robust_loss)
 from gridmanip.reward import RewardParams, step_reward, tpg_reward_map
@@ -44,15 +43,12 @@ def clutter_config(**kw):
     return RunConfig(**defaults)
 
 
-def dead_end_config(**kw):
-    """One block on a 4x1 strip, push only, one rotation: every episode is
-    push x0->x2, push x2->x3, and then no valid action is left."""
-    task = TaskConfig(kind=TaskKind.SCRIPTED_ARRANGEMENT, n_blocks=0,
-                      width=4, height=1, rotations=1, layout="1...",
-                      allowed_primitives=(Primitive.PUSH,))
-    defaults = dict(task=task, seed=0, checkpoint_every=0)
-    defaults.update(kw)
-    return RunConfig(**defaults)
+def nan_network(net):
+    """``net`` with every Q map NaN, so greedy selection finds no action
+    although the masks offer valid poses."""
+    for stack in net.stacks.values():
+        stack.b3[:] = np.nan
+    return net
 
 
 def net_digest(net):
@@ -157,23 +153,11 @@ class TestTrain:
         assert net_digest(copy.net) == net_digest(report.net)
 
     def test_unplayable_task_raises(self):
-        # A 2x2 grid full of blocks leaves no push a free cell to go to, so
-        # the task is refused before any run starts.
+        # Push never removes a block, so clutter removal without pick is
+        # refused before any run starts.
         with pytest.raises(ConfigError, match="task.allowed_primitives=push"):
             TaskConfig(kind=TaskKind.CLUTTER_REMOVAL, n_blocks=4, width=2,
                        height=2, allowed_primitives=(Primitive.PUSH,))
-
-    def test_dead_resets_dropped_until_one_can_act(self):
-        # Push only along +x: a reset whose free cell lies in the left
-        # column has no valid push.
-        task = TaskConfig(kind=TaskKind.CLUTTER_REMOVAL, n_blocks=3, width=2,
-                          height=2, rotations=1,
-                          allowed_primitives=(Primitive.PUSH,))
-        report = train(small_config(task=task, train_steps=30))
-        assert [r.step for r in report.records] == list(range(30))
-        dead = [ep for ep in report.episodes if ep.actions == 0]
-        assert dead
-        assert {ep.done_reason for ep in dead} == {"no_valid_action"}
 
     def test_buffered_prev_action_is_the_row_before(self):
         report = train(small_config(train_steps=120))
@@ -194,19 +178,18 @@ class TestTrain:
     def test_train_and_evaluate_leave_the_task_unchanged(self):
         # The scripted layout resolves n_blocks and max_steps when the task
         # is built; running it must not write into the caller's config.
-        cfg = dead_end_config(train_steps=7, eval_runs=2)
+        task = TaskConfig(kind=TaskKind.SCRIPTED_ARRANGEMENT, n_blocks=0,
+                          width=4, height=1, rotations=1, layout="2..1",
+                          allowed_primitives=(Primitive.PUSH, Primitive.PICK))
+        cfg = RunConfig(task=task, train_steps=30, eval_runs=2, seed=0,
+                        checkpoint_every=0)
         before = replace(cfg.task)
-        assert (before.n_blocks, before.max_steps) == (1, 8)
-        evaluate(train(cfg).net, cfg)
-        assert cfg.task == before
-
-    def test_mid_episode_dead_end_drops_the_episode(self):
-        cfg = dead_end_config(train_steps=7)
+        assert (before.n_blocks, before.max_steps) == (3, 24)
         report = train(cfg)
-        assert [r.x for r in report.records] == [0, 2, 0, 2, 0, 2, 0]
-        assert [r.step for r in report.records] == list(range(7))
-        assert report.episodes == [
-            EpisodeSummary(end, 2, "no_valid_action") for end in (2, 4, 6)]
+        assert any(ep.done_reason == "goal" for ep in report.episodes)
+        evaluate(report.net, cfg)
+        assert cfg.task == before
+        assert cfg.task.layout_heights.tolist() == [[2, 0, 0, 1]]
 
     # A bad part raises as soon as it is built, so parts are given as
     # partials and built inside pytest.raises.
@@ -381,22 +364,9 @@ class TestEvaluate:
                           goal_stack_height=4)
         assert ideal_actions(task) / 8 == pytest.approx(0.75)
 
-    def test_dead_end_ends_the_run(self):
-        cfg = dead_end_config(eval_runs=3)
-        metrics = evaluate(harness._fresh_network(cfg), cfg)
-        assert [(r.done_reason, r.actions, len(r.records))
-                for r in metrics.runs] == [("no_valid_action", 2, 2)] * 3
-        assert [rec.x for rec in metrics.runs[0].records] == [0, 2]
-        assert metrics.completion_rate == 0.0
-
     def test_nan_network_ends_every_run_without_action(self):
-        # NaN Q maps leave greedy selection nothing to pick, although the
-        # masks offer valid poses.
         cfg = small_config(eval_runs=2)
-        net = harness._fresh_network(cfg)
-        for stack in net.stacks.values():
-            stack.b3[:] = np.nan
-        metrics = evaluate(net, cfg)
+        metrics = evaluate(nan_network(harness._fresh_network(cfg)), cfg)
         assert [(r.done_reason, r.actions, r.records) for r in metrics.runs] \
             == [("no_valid_action", 0, [])] * 2
 
@@ -486,20 +456,25 @@ def _diverge_full(monkeypatch):
 class TestParallel:
     """Forked workers give exactly the serial results."""
 
-    @pytest.mark.parametrize("make_cfg", [
-        stack3_config,
-        lambda: clutter_config(eval_runs=5),
-        lambda: dead_end_config(eval_runs=5),
-    ], ids=["stack3", "clutter", "dead_end"])
-    def test_evaluate_forked_equals_serial(self, make_cfg, monkeypatch):
+    @pytest.mark.parametrize("make_cfg, spoil", [
+        (stack3_config, None),
+        (lambda: clutter_config(eval_runs=5), None),
+        # Every run ends at its first step as no_valid_action.
+        (lambda: small_config(eval_runs=5), nan_network),
+    ], ids=["stack3", "clutter", "no_valid_action"])
+    def test_evaluate_forked_equals_serial(self, make_cfg, spoil, monkeypatch):
         cfg = make_cfg()
         net = train(replace(cfg, train_steps=30)).net
+        if spoil:
+            net = spoil(net)
         _use_cpus(monkeypatch, 1)
         serial = evaluate(net, cfg)
         _use_cpus(monkeypatch, 2)
         parallel = evaluate(net, cfg)
         assert parallel == serial   # every EvalRun and StepRecord, by field
         assert not multiprocessing.active_children()
+        if spoil:
+            assert {r.done_reason for r in serial.runs} == {"no_valid_action"}
 
     def test_ablation_forked_equals_serial_in_ladder_order(self, monkeypatch):
         cfg = small_config(train_steps=40, eval_runs=3)
